@@ -16,7 +16,7 @@ use std::collections::HashSet;
 use zodiac_graph::{NodeIdx, ResourceGraph};
 use zodiac_kb::{docs, AttrKind, KnowledgeBase, ValueFormat};
 use zodiac_model::{Cidr, Symbol, Value};
-use zodiac_spec::{instances, parse_check, Check, EvalContext};
+use zodiac_spec::{parse_check, violations, Check, EvalContext};
 
 /// Category of a check, used for blast-radius bucketing (Figure 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -135,9 +135,8 @@ impl GroundRule {
                     graph,
                     kb: Some(kb),
                 };
-                instances(check, ctx)
+                violations(check, ctx)
                     .into_iter()
-                    .filter(|i| i.is_violation())
                     .filter(|i| {
                         i.binding.values().any(|&n| n == node)
                             && i.binding

@@ -174,10 +174,10 @@ impl ScanCache {
         check_set_key: u64,
         kb: &KnowledgeBase,
     ) -> (Arc<Vec<Violation>>, bool) {
-        let key = (program_fp, check_set_key);
-        if let Some(hit) = self.lookup(key) {
+        if let Some(hit) = self.get(program_fp, check_set_key) {
             return (hit, true);
         }
+        let key = (program_fp, check_set_key);
         let verdict = Arc::new(scan_program(program, checks, kb));
         let mut shard = self
             .shard(program_fp)
@@ -189,11 +189,13 @@ impl ScanCache {
         (verdict, false)
     }
 
-    fn lookup(&self, key: (u128, u64)) -> Option<Arc<Vec<Violation>>> {
-        self.shard(key.0)
+    /// The memoized verdict of the program with fingerprint `program_fp`
+    /// against the check set keyed `check_set_key`, if there is one.
+    pub fn get(&self, program_fp: u128, check_set_key: u64) -> Option<Arc<Vec<Violation>>> {
+        self.shard(program_fp)
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
+            .get(&(program_fp, check_set_key))
             .cloned()
     }
 

@@ -117,9 +117,18 @@ impl CheckSet {
     }
 }
 
-/// Compiled programs with their canonical fingerprints, keyed by the
-/// request's (format, source text).
-type ProgramMemo = HashMap<(SourceFormat, String), (Arc<Program>, u128)>;
+/// Canonical fingerprints and resource counts of compiled programs, keyed
+/// by the request's (format, source text).
+type ProgramMemo = HashMap<(SourceFormat, String), (u128, usize)>;
+
+/// Compiles a request's source text.
+fn compile(source: &str, format: SourceFormat) -> Result<Program, String> {
+    let compiled = match format {
+        SourceFormat::Tf => zodiac_hcl::compile(source),
+        SourceFormat::Plan => zodiac_hcl::from_plan_json(source),
+    };
+    compiled.map_err(|e| e.to_string())
+}
 
 /// Session state of the incremental re-mining engine. The corpus lives in
 /// memory (deltas are session state; only checks are durable), while the
@@ -139,10 +148,13 @@ pub struct Daemon {
     store: Mutex<CheckStore>,
     checks: RwLock<Arc<CheckSet>>,
     cache: ScanCache,
-    /// Compile memo: source text → (program, canonical fingerprint).
-    /// Compilation is deterministic and check-set independent, so entries
-    /// never need invalidating; repeat scans of the same source skip
-    /// straight to the fingerprint-keyed verdict cache.
+    /// Compile memo: source text → (canonical fingerprint, resource
+    /// count). Compilation is deterministic and check-set independent, so
+    /// entries never need invalidating; repeat scans of the same source skip
+    /// straight to the fingerprint-keyed verdict cache. It keeps no compiled
+    /// program: one takes ~30 KB against ~4 KB of source, and the memo holds
+    /// every distinct program scanned, so a verdict miss (a new check set)
+    /// compiles the source again instead.
     programs: Mutex<ProgramMemo>,
     remine: Mutex<Remine>,
     obs: Obs,
@@ -339,35 +351,30 @@ impl Daemon {
         }
     }
 
-    /// Compiles a request's program through the compile memo.
-    fn compile_memoized(
+    /// The canonical fingerprint and resource count of a request's program
+    /// through the compile memo. On a memo miss it compiles the source and
+    /// also returns the program, so the caller need not compile it again.
+    fn fingerprint_memoized(
         &self,
         source: &str,
         format: SourceFormat,
-    ) -> Result<(Arc<Program>, u128), String> {
+    ) -> Result<(u128, usize, Option<Program>), String> {
         let memo = self
             .programs
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .get(&(format, source.to_string()))
-            .cloned();
-        if let Some(hit) = memo {
-            return Ok(hit);
+            .copied();
+        if let Some((fp, resources)) = memo {
+            return Ok((fp, resources, None));
         }
-        let compiled = match format {
-            SourceFormat::Tf => zodiac_hcl::compile(source),
-            SourceFormat::Plan => zodiac_hcl::from_plan_json(source),
-        };
-        let program = match compiled {
-            Ok(p) => Arc::new(p),
-            Err(e) => return Err(e.to_string()),
-        };
+        let program = compile(source, format)?;
         let fp = zodiac_deployer::fingerprint(&program);
         self.programs
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert((format, source.to_string()), (program.clone(), fp));
-        Ok((program, fp))
+            .insert((format, source.to_string()), (fp, program.len()));
+        Ok((fp, program.len(), Some(program)))
     }
 
     fn scan(
@@ -377,14 +384,27 @@ impl Daemon {
         format: SourceFormat,
         touched: &mut Vec<u64>,
     ) -> Response {
-        let (program, fp) = match self.compile_memoized(source, format) {
+        let (fp, resources, compiled) = match self.fingerprint_memoized(source, format) {
             Ok(hit) => hit,
             Err(e) => return Response::err(&format!("scan: {e}")),
         };
         let snapshot = self.snapshot();
-        let (verdict, cached) =
-            self.cache
-                .scan_fingerprinted(fp, &program, snapshot.plain(), snapshot.key, &self.kb);
+        let (verdict, cached) = match self.cache.get(fp, snapshot.key) {
+            Some(verdict) => (verdict, true),
+            None => {
+                let program = match compiled.map_or_else(|| compile(source, format), Ok) {
+                    Ok(program) => program,
+                    Err(e) => return Response::err(&format!("scan: {e}")),
+                };
+                self.cache.scan_fingerprinted(
+                    fp,
+                    &program,
+                    snapshot.plain(),
+                    snapshot.key,
+                    &self.kb,
+                )
+            }
+        };
         self.scans.fetch_add(1, Ordering::Relaxed);
         self.obs.counter("daemon.scans", 1);
         if cached {
@@ -446,7 +466,7 @@ impl Daemon {
             .collect();
         let mut resp = Response::ok("scan")
             .str("program_fp", &format!("{fp:032x}"))
-            .num("resources", program.len() as u64)
+            .num("resources", resources as u64)
             .num("check_set_version", snapshot.version)
             .bool("cached", cached)
             .field("violations", Value::Array(violations));
@@ -469,8 +489,8 @@ impl Daemon {
         max_edits: Option<usize>,
         touched: &mut Vec<u64>,
     ) -> Response {
-        let (program, _fp) = match self.compile_memoized(source, format) {
-            Ok(hit) => hit,
+        let program = match compile(source, format) {
+            Ok(program) => program,
             Err(e) => return Response::err(&format!("repair: {e}")),
         };
         let snapshot = self.snapshot();

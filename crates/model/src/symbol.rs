@@ -12,6 +12,14 @@
 //! lifetimes infecting the AST; the set of distinct identifiers in a run is
 //! small (hundreds), so the leak is bounded and intentional.
 //!
+//! Reads are lock-free. Resolving a symbol is the hot operation — every
+//! `Ord` comparison, `Deref` and string `==` resolves one — so the id → str
+//! table is a fixed array of lazily allocated buckets of write-once cells
+//! (`OnceLock`), doubling in size, that together cover every `u32` id.
+//! [`Symbol::intern`] alone takes a mutex: it guards the str → id map and
+//! the next free id, and publishes a new string in its cell before handing
+//! out the symbol, so any thread that holds a symbol can read its string.
+//!
 //! `Ord` deliberately compares the *resolved strings*, not the ids: the
 //! pipeline iterates `BTreeMap`s keyed by symbols and its output order must
 //! not depend on interning order (which varies with thread scheduling).
@@ -27,39 +35,76 @@ use std::sync::{Mutex, OnceLock};
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 
-struct Interner {
-    map: HashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
+/// Cells in the first bucket of the id → str table (a power of two).
+const FIRST_BUCKET: u64 = 64;
+
+/// Buckets in the id → str table: bucket `k` holds `FIRST_BUCKET << k`
+/// cells, so 27 buckets cover every `u32` id.
+const BUCKETS: usize = 27;
+
+/// A bucket of the id → str table: one write-once cell per id.
+type Bucket = Box<[OnceLock<&'static str>]>;
+
+/// The id → str table. Buckets are allocated on first use, under the
+/// interner's mutex; cells are written once and read without a lock.
+static STRINGS: [OnceLock<Bucket>; BUCKETS] = [const { OnceLock::new() }; BUCKETS];
+
+/// The bucket and the cell within it that hold `id`.
+fn locate(id: u32) -> (usize, usize) {
+    let slot = u64::from(id) + FIRST_BUCKET;
+    let bucket = (slot.ilog2() - FIRST_BUCKET.ilog2()) as usize;
+    (bucket, (slot - (FIRST_BUCKET << bucket)) as usize)
 }
 
-fn interner() -> &'static Mutex<Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            map: HashMap::new(),
-            strings: Vec::new(),
+/// The cell that holds `id`'s string, allocating its bucket if needed.
+fn cell(id: u32) -> Option<&'static OnceLock<&'static str>> {
+    let (bucket, offset) = locate(id);
+    STRINGS
+        .get(bucket)?
+        .get_or_init(|| {
+            (0..FIRST_BUCKET << bucket)
+                .map(|_| OnceLock::new())
+                .collect()
         })
-    })
+        .get(offset)
+}
+
+/// The str → id map; its size is the next free id.
+fn interner() -> &'static Mutex<HashMap<&'static str, u32>> {
+    static INTERNER: OnceLock<Mutex<HashMap<&'static str, u32>>> = OnceLock::new();
+    INTERNER.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 impl Symbol {
     /// Interns `s`, returning its symbol. Idempotent: equal strings always
     /// yield equal symbols.
     pub fn intern(s: &str) -> Symbol {
-        let mut int = interner().lock().expect("symbol interner poisoned");
-        if let Some(&id) = int.map.get(s) {
+        let mut map = interner().lock().expect("symbol interner poisoned");
+        if let Some(&id) = map.get(s) {
             return Symbol(id);
         }
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let id = int.strings.len() as u32;
-        int.strings.push(leaked);
-        int.map.insert(leaked, id);
+        let id = map.len() as u32;
+        if let Some(cell) = cell(id) {
+            let _ = cell.set(leaked);
+        }
+        map.insert(leaked, id);
         Symbol(id)
     }
 
-    /// The interned string.
+    /// The interned string. Lock-free.
     pub fn as_str(self) -> &'static str {
-        interner().lock().expect("symbol interner poisoned").strings[self.0 as usize]
+        let (bucket, offset) = locate(self.0);
+        // Every cell a symbol names is set: `intern` writes it before the
+        // symbol exists, and handing a symbol to another thread orders that
+        // write before the other thread's read.
+        STRINGS
+            .get(bucket)
+            .and_then(OnceLock::get)
+            .and_then(|cells| cells.get(offset))
+            .and_then(OnceLock::get)
+            .copied()
+            .unwrap_or_default()
     }
 }
 
@@ -189,6 +234,70 @@ mod tests {
         assert_eq!(s, "account_tier");
         assert_eq!(s, "account_tier".to_string());
         assert!(s.starts_with("account"));
+    }
+
+    #[test]
+    fn threads_agree_on_concurrently_interned_symbols() {
+        use std::sync::{Arc, Barrier};
+        const THREADS: usize = 8;
+        const PER_THREAD: usize = 300;
+        let start = Arc::new(Barrier::new(THREADS));
+        let shared: Arc<Mutex<Vec<(String, Symbol)>>> = Arc::default();
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (start, shared) = (start.clone(), shared.clone());
+                std::thread::spawn(move || {
+                    let probes: Vec<String> = (t * 100..t * 100 + PER_THREAD)
+                        .map(|k| format!("barrier-probe-{k}"))
+                        .collect();
+                    // Released together, thread t interns probes
+                    // [100t, 100t + 300): each is new to the table, and up
+                    // to three threads race for it.
+                    start.wait();
+                    let mine: Vec<(String, Symbol)> = probes
+                        .into_iter()
+                        .map(|text| {
+                            let sym = Symbol::intern(&text);
+                            (text, sym)
+                        })
+                        .collect();
+                    shared.lock().unwrap().extend(mine.iter().cloned());
+                    start.wait();
+                    // Resolve every thread's symbols, all threads at once.
+                    let all = shared.lock().unwrap().clone();
+                    for (text, sym) in &all {
+                        assert_eq!(sym.as_str(), text);
+                        assert_eq!(Symbol::intern(text), *sym);
+                    }
+                    mine
+                })
+            })
+            .collect();
+        let mut seen: HashMap<String, Symbol> = HashMap::new();
+        for handle in handles {
+            for (text, sym) in handle.join().expect("no thread panics") {
+                assert_eq!(
+                    *seen.entry(text).or_insert(sym),
+                    sym,
+                    "one symbol per string"
+                );
+            }
+        }
+        let distinct: std::collections::HashSet<Symbol> = seen.values().copied().collect();
+        assert_eq!(distinct.len(), seen.len(), "one string per symbol");
+        assert_eq!(seen.len(), (THREADS - 1) * 100 + PER_THREAD);
+    }
+
+    #[test]
+    fn locate_covers_every_id() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(63), (0, 63));
+        assert_eq!(locate(64), (1, 0));
+        assert_eq!(locate(191), (1, 127));
+        assert_eq!(locate(192), (2, 0));
+        let (bucket, offset) = locate(u32::MAX);
+        assert_eq!(bucket, BUCKETS - 1);
+        assert!((offset as u64) < FIRST_BUCKET << bucket);
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! where `cond ∧ stmt` are **witnesses** (used by mining statistics and by
 //! positive-test-case selection).
 //!
+//! One binding visitor answers every query, in one enumeration order.
+//! [`instances`] evaluates both expressions on every binding; the other
+//! queries stop or skip as soon as the answer is known: [`holds`] returns at
+//! the first violation, [`first_witness`] at the first witness, and
+//! [`violations`] evaluates the statement only where the condition holds.
+//! Expressions are pure, so each answer equals the one read off
+//! [`instances`] (the testkit's `eval-short-circuit` property checks this).
+//!
 //! Attribute endpoints resolve with *multi* semantics: a dotted path descends
 //! through nested blocks, fanning out over list elements, so
 //! `r.address_prefixes` yields every CIDR in the list and
@@ -17,8 +25,9 @@
 //! [`KnowledgeBase`] is supplied, omitted attributes fall back to their
 //! provider defaults (Class-2 facts) before defaulting to `Null`.
 
-use crate::ast::{Check, CmpOp, Expr, Val};
+use crate::ast::{Binding, Check, CmpOp, Expr, Val};
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use zodiac_graph::{NodeIdx, ResourceGraph};
 use zodiac_kb::KnowledgeBase;
 use zodiac_model::{Cidr, Resource, Symbol, Value};
@@ -55,75 +64,143 @@ impl Instance {
     }
 }
 
-/// Evaluates a check over all bindings.
-pub fn instances(check: &Check, ctx: EvalContext<'_>) -> Vec<Instance> {
-    let mut out = Vec::new();
+/// A complete binding under evaluation: the check's variables,
+/// index-aligned with the nodes bound to them.
+#[derive(Clone, Copy)]
+struct Env<'b> {
+    vars: &'b [Binding],
+    nodes: &'b [NodeIdx],
+}
+
+impl Env<'_> {
+    /// The node bound to `var`. A repeated variable name resolves to its
+    /// last binding, as in [`Instance::binding`].
+    fn get(&self, var: &Symbol) -> Option<NodeIdx> {
+        let i = self.vars.iter().rposition(|b| b.var == *var)?;
+        self.nodes.get(i).copied()
+    }
+
+    fn to_map(self) -> BTreeMap<Symbol, NodeIdx> {
+        self.vars
+            .iter()
+            .zip(self.nodes)
+            .map(|(b, &n)| (b.var, n))
+            .collect()
+    }
+}
+
+/// The binding visitor behind every query: calls `visit` on each binding of
+/// the check's variables to *distinct* nodes of the declared types, in
+/// declaration-major order, until `visit` breaks; returns `Break` if it did.
+fn visit_bindings<F>(check: &Check, graph: &ResourceGraph, mut visit: F) -> ControlFlow<()>
+where
+    F: FnMut(Env<'_>) -> ControlFlow<()>,
+{
+    fn descend<F>(
+        vars: &[Binding],
+        candidates: &[Vec<NodeIdx>],
+        assignment: &mut Vec<NodeIdx>,
+        visit: &mut F,
+    ) -> ControlFlow<()>
+    where
+        F: FnMut(Env<'_>) -> ControlFlow<()>,
+    {
+        let Some(level) = candidates.get(assignment.len()) else {
+            return visit(Env {
+                vars,
+                nodes: assignment,
+            });
+        };
+        for &node in level {
+            if assignment.contains(&node) {
+                continue; // Distinct variables bind distinct resources.
+            }
+            assignment.push(node);
+            let flow = descend(vars, candidates, assignment, visit);
+            assignment.pop();
+            flow?;
+        }
+        ControlFlow::Continue(())
+    }
+
     let candidates: Vec<Vec<NodeIdx>> = check
         .bindings
         .iter()
-        .map(|b| ctx.graph.nodes_of_type(&b.rtype).collect())
+        .map(|b| graph.nodes_of_type(&b.rtype).collect())
         .collect();
     let mut assignment: Vec<NodeIdx> = Vec::with_capacity(check.bindings.len());
-    enumerate(check, ctx, &candidates, &mut assignment, &mut out);
+    descend(&check.bindings, &candidates, &mut assignment, &mut visit)
+}
+
+/// True if `env` violates the check; the statement is evaluated only where
+/// the condition holds.
+fn violates(check: &Check, env: Env<'_>, ctx: EvalContext<'_>) -> bool {
+    eval_expr(&check.cond, env, ctx) && !eval_expr(&check.stmt, env, ctx)
+}
+
+/// Evaluates a check over all bindings.
+pub fn instances(check: &Check, ctx: EvalContext<'_>) -> Vec<Instance> {
+    let mut out = Vec::new();
+    let _ = visit_bindings(check, ctx.graph, |env| {
+        out.push(Instance {
+            binding: env.to_map(),
+            cond: eval_expr(&check.cond, env, ctx),
+            stmt: eval_expr(&check.stmt, env, ctx),
+        });
+        ControlFlow::Continue(())
+    });
     out
 }
 
-fn enumerate(
-    check: &Check,
-    ctx: EvalContext<'_>,
-    candidates: &[Vec<NodeIdx>],
-    assignment: &mut Vec<NodeIdx>,
-    out: &mut Vec<Instance>,
-) {
-    let depth = assignment.len();
-    if depth == check.bindings.len() {
-        let binding: BTreeMap<Symbol, NodeIdx> = check
-            .bindings
-            .iter()
-            .zip(assignment.iter())
-            .map(|(b, &n)| (b.var, n))
-            .collect();
-        let cond = eval_expr(&check.cond, &binding, ctx);
-        let stmt = eval_expr(&check.stmt, &binding, ctx);
-        out.push(Instance {
-            binding,
-            cond,
-            stmt,
-        });
-        return;
-    }
-    for &node in &candidates[depth] {
-        if assignment.contains(&node) {
-            continue; // Distinct variables bind distinct resources.
-        }
-        assignment.push(node);
-        enumerate(check, ctx, candidates, assignment, out);
-        assignment.pop();
-    }
-}
-
-/// True if the check holds on the graph (no violating binding).
+/// True if the check holds on the graph (no violating binding). Stops at the
+/// first violation.
 pub fn holds(check: &Check, ctx: EvalContext<'_>) -> bool {
-    instances(check, ctx).iter().all(|i| !i.is_violation())
+    visit_bindings(check, ctx.graph, |env| {
+        if violates(check, env, ctx) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    })
+    .is_continue()
 }
 
-/// All violating bindings.
+/// All violating bindings: [`instances`] filtered to violations, in the same
+/// order.
 pub fn violations(check: &Check, ctx: EvalContext<'_>) -> Vec<Instance> {
-    instances(check, ctx)
-        .into_iter()
-        .filter(Instance::is_violation)
-        .collect()
+    let mut out = Vec::new();
+    let _ = visit_bindings(check, ctx.graph, |env| {
+        if violates(check, env, ctx) {
+            out.push(Instance {
+                binding: env.to_map(),
+                cond: true,
+                stmt: false,
+            });
+        }
+        ControlFlow::Continue(())
+    });
+    out
 }
 
-/// All witnessing bindings.
-pub fn witnesses(check: &Check, ctx: EvalContext<'_>) -> Vec<Instance> {
-    instances(check, ctx)
-        .into_iter()
-        .filter(Instance::is_witness)
-        .collect()
+/// The first witnessing binding in enumeration order — the first witness
+/// [`instances`] lists. Stops there.
+pub fn first_witness(check: &Check, ctx: EvalContext<'_>) -> Option<Instance> {
+    let mut found = None;
+    let _ = visit_bindings(check, ctx.graph, |env| {
+        if !(eval_expr(&check.cond, env, ctx) && eval_expr(&check.stmt, env, ctx)) {
+            return ControlFlow::Continue(());
+        }
+        found = Some(Instance {
+            binding: env.to_map(),
+            cond: true,
+            stmt: true,
+        });
+        ControlFlow::Break(())
+    });
+    found
 }
 
-fn eval_expr(expr: &Expr, binding: &BTreeMap<Symbol, NodeIdx>, ctx: EvalContext<'_>) -> bool {
+fn eval_expr(expr: &Expr, env: Env<'_>, ctx: EvalContext<'_>) -> bool {
     match expr {
         Expr::Conn {
             src,
@@ -131,20 +208,20 @@ fn eval_expr(expr: &Expr, binding: &BTreeMap<Symbol, NodeIdx>, ctx: EvalContext<
             dst,
             out_attr,
         } => {
-            let (Some(&s), Some(&d)) = (binding.get(src), binding.get(dst)) else {
+            let (Some(s), Some(d)) = (env.get(src), env.get(dst)) else {
                 return false;
             };
             ctx.graph
                 .conn(s, Some(in_endpoint.as_str()), d, Some(out_attr.as_str()))
         }
         Expr::Path { src, dst } => {
-            let (Some(&s), Some(&d)) = (binding.get(src), binding.get(dst)) else {
+            let (Some(s), Some(d)) = (env.get(src), env.get(dst)) else {
                 return false;
             };
             ctx.graph.path(s, d)
         }
         Expr::CoConn { first, second } | Expr::CoPath { first, second } => {
-            eval_expr(first, binding, ctx) && eval_expr(second, binding, ctx)
+            eval_expr(first, env, ctx) && eval_expr(second, env, ctx)
         }
         Expr::Cmp {
             op,
@@ -152,8 +229,8 @@ fn eval_expr(expr: &Expr, binding: &BTreeMap<Symbol, NodeIdx>, ctx: EvalContext<
             rhs,
             negated,
         } => {
-            let l = resolve(lhs, binding, ctx);
-            let r = resolve(rhs, binding, ctx);
+            let l = resolve(lhs, env, ctx);
+            let r = resolve(rhs, env, ctx);
             let result = compare(*op, &l, &r);
             result != *negated
         }
@@ -161,11 +238,11 @@ fn eval_expr(expr: &Expr, binding: &BTreeMap<Symbol, NodeIdx>, ctx: EvalContext<
 }
 
 /// Resolves a value term to the set of concrete values it denotes.
-fn resolve(val: &Val, binding: &BTreeMap<Symbol, NodeIdx>, ctx: EvalContext<'_>) -> Vec<Value> {
+fn resolve(val: &Val, env: Env<'_>, ctx: EvalContext<'_>) -> Vec<Value> {
     match val {
         Val::Lit(v) => vec![v.clone()],
         Val::Endpoint { var, attr } => {
-            let Some(&node) = binding.get(var) else {
+            let Some(node) = env.get(var) else {
                 return vec![Value::Null];
             };
             let resource = ctx.graph.resource(node);
@@ -184,7 +261,7 @@ fn resolve(val: &Val, binding: &BTreeMap<Symbol, NodeIdx>, ctx: EvalContext<'_>)
             found
         }
         Val::InDegree { var, tau } => {
-            let Some(&node) = binding.get(var) else {
+            let Some(node) = env.get(var) else {
                 return vec![Value::Null];
             };
             vec![Value::Int(
@@ -194,7 +271,7 @@ fn resolve(val: &Val, binding: &BTreeMap<Symbol, NodeIdx>, ctx: EvalContext<'_>)
             )]
         }
         Val::OutDegree { var, tau } => {
-            let Some(&node) = binding.get(var) else {
+            let Some(node) = env.get(var) else {
                 return vec![Value::Null];
             };
             vec![Value::Int(
@@ -205,10 +282,10 @@ fn resolve(val: &Val, binding: &BTreeMap<Symbol, NodeIdx>, ctx: EvalContext<'_>)
         }
         Val::Length(inner) => {
             let Val::Endpoint { var, attr } = inner.as_ref() else {
-                let vals = resolve(inner, binding, ctx);
+                let vals = resolve(inner, env, ctx);
                 return vec![Value::Int(vals.len() as i64)];
             };
-            let Some(&node) = binding.get(var) else {
+            let Some(node) = env.get(var) else {
                 return vec![Value::Null];
             };
             let resource = ctx.graph.resource(node);
@@ -361,7 +438,12 @@ mod tests {
             kb: None,
         };
         assert!(holds(&check_vm_nic_location(), ctx));
-        assert_eq!(witnesses(&check_vm_nic_location(), ctx).len(), 1);
+        let all = instances(&check_vm_nic_location(), ctx);
+        assert_eq!(all.iter().filter(|i| i.is_witness()).count(), 1);
+        assert_eq!(
+            first_witness(&check_vm_nic_location(), ctx).as_ref(),
+            all.first()
+        );
     }
 
     #[test]
@@ -387,7 +469,7 @@ mod tests {
             kb: None,
         };
         assert!(holds(&check_vm_nic_location(), ctx));
-        assert!(witnesses(&check_vm_nic_location(), ctx).is_empty());
+        assert!(first_witness(&check_vm_nic_location(), ctx).is_none());
     }
 
     #[test]

@@ -28,5 +28,5 @@ pub mod parser;
 pub mod test_hooks;
 
 pub use ast::{check_set_key, Binding, Check, CmpOp, Expr, ShapeCategory, TypeSpec, Val};
-pub use eval::{holds, instances, violations, witnesses, EvalContext, Instance};
+pub use eval::{first_witness, holds, instances, violations, EvalContext, Instance};
 pub use parser::{parse_check, ParseError};

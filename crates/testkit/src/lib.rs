@@ -42,6 +42,15 @@
 //!    present in the original program and never trips the deceptive-fix
 //!    detector (scope narrowing, dropped references or attributes the
 //!    violated checks do not mention).
+//! 10. **Shard invariance** — mining with a random shard count and batch
+//!     size, over the materialised corpus and over a stream of it,
+//!     reproduces the 1-shard candidate list byte-for-byte.
+//! 11. **Evaluator short-circuit** — over generated and mined checks
+//!     crossed with generated graphs, the evaluator's early-exit queries
+//!     agree with its full instance list: `holds` is true exactly when no
+//!     instance is a violation, `first_witness` is the first witnessing
+//!     instance, and `violations` is the instance list filtered to
+//!     violations, in the same order.
 //!
 //! Failures shrink deterministically ([`shrink`]) and the whole report is
 //! a pure function of `(seed, cases)` — byte-identical across runs — so a
@@ -115,6 +124,7 @@ pub const PROPERTIES: &[&str] = &[
     "repair-minimality",
     "repair-intent",
     "shard-invariance",
+    "eval-short-circuit",
 ];
 
 /// One verified-property failure, with everything needed to replay it.

@@ -14,11 +14,14 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use zodiac_cloud::{CloudSim, DeployOutcome, Phase, TRANSIENT_PREFIX};
 use zodiac_graph::ResourceGraph;
+use zodiac_kb::KnowledgeBase;
 use zodiac_mining::MiningConfig;
 use zodiac_model::Program;
 use zodiac_obs::Obs;
 use zodiac_repair::{RepairConfig, RepairOutcome};
-use zodiac_spec::{parse_check, violations, Check, EvalContext};
+use zodiac_spec::{
+    first_witness, holds, instances, parse_check, violations, Check, EvalContext, Instance,
+};
 use zodiac_validation::counterexample::counterexample_pass;
 use zodiac_validation::{Scheduler, SchedulerConfig, ValidatedCheck};
 
@@ -485,7 +488,74 @@ pub(crate) fn run_episode(
         }
     }
 
+    // --- P11: evaluator short-circuit --------------------------------------
+    // The queries that stop or skip early must answer as the full instance
+    // list does, over generated checks and mined candidates crossed with
+    // generated graphs. Drawn last, so no other property's inputs move.
+    let graphs: Vec<(u64, ResourceGraph)> = (0..EVAL_GRAPHS)
+        .map(|_| {
+            let (graph_seed, mut graph_rng) = gen::child_rng(&mut rng);
+            (graph_seed, gen::arb_graph(&mut graph_rng))
+        })
+        .collect();
+    for check in generated
+        .iter()
+        .chain(mining.checks.iter().map(|c| &c.check))
+    {
+        for (graph_seed, graph) in &graphs {
+            report.tally("eval-short-circuit", 1);
+            let Some(what) = short_circuit_mismatch(check, graph, &kb) else {
+                continue;
+            };
+            let shrunk = shrink::shrink_program(graph.program(), |p| {
+                short_circuit_mismatch(check, &ResourceGraph::build(p.clone()), &kb).is_some()
+            });
+            report.fail(FuzzFailure {
+                property: "eval-short-circuit",
+                episode: ep,
+                replay_seed: *graph_seed,
+                detail: format!(
+                    "{what}
+check: {check}
+shrunk program ({} of {} resources):
+{}",
+                    shrunk.len(),
+                    graph.len(),
+                    zodiac_hcl::to_hcl(&shrunk)
+                ),
+            });
+        }
+    }
+
     report.episodes.push(stats);
+}
+
+/// Generated graphs each episode crosses with its checks for P11.
+const EVAL_GRAPHS: usize = 8;
+
+/// How the short-circuiting queries disagree with the full instance list of
+/// `check` on `graph`, if they do.
+fn short_circuit_mismatch(
+    check: &Check,
+    graph: &ResourceGraph,
+    kb: &KnowledgeBase,
+) -> Option<&'static str> {
+    let ctx = EvalContext {
+        graph,
+        kb: Some(kb),
+    };
+    let all = instances(check, ctx);
+    if holds(check, ctx) == all.iter().any(Instance::is_violation) {
+        return Some("`holds` disagrees with the instance list");
+    }
+    if first_witness(check, ctx).as_ref() != all.iter().find(|i| i.is_witness()) {
+        return Some("`first_witness` is not the first witnessing instance");
+    }
+    let filtered: Vec<Instance> = all.into_iter().filter(Instance::is_violation).collect();
+    if violations(check, ctx) != filtered {
+        return Some("`violations` is not the instance list filtered to violations");
+    }
+    None
 }
 
 /// Edits beyond this count skip the exponential minimality enumeration.

@@ -9,14 +9,13 @@
 use crate::mdc;
 use crate::scheduler::ValidatedCheck;
 use crate::DeployOracle;
-use zodiac_graph::ResourceGraph;
 use zodiac_kb::KnowledgeBase;
 use zodiac_model::Program;
 use zodiac_obs::{Lifecycle, Obs, Polarity};
-use zodiac_spec::{violations, EvalContext};
+use zodiac_spec::{violations, Check, EvalContext};
 
 /// Result of the counterexample pass.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CounterexampleReport {
     /// Indices (into the validated list) of demoted checks.
     pub demoted: Vec<usize>,
@@ -58,27 +57,13 @@ pub fn counterexample_pass_obs<D: DeployOracle>(
 ) -> CounterexampleReport {
     let _span = obs.start_span("pipeline/validation/counterexample");
     let mut report = CounterexampleReport::default();
+    // Every check searches the same programs: build each graph once.
+    let index = mdc::CorpusIndex::build(extra_corpus);
     for (idx, v) in validated.iter().enumerate() {
         // Gather up to `max_per_check` pruned violating cases first, then
         // deploy them as one batch: an execution engine fans the batch over
         // its worker pool and memoizes repeated cases.
-        let mut cases: Vec<Program> = Vec::new();
-        'programs: for program in extra_corpus {
-            if cases.len() >= max_per_check {
-                break;
-            }
-            let graph = ResourceGraph::build(program.clone());
-            let ctx = EvalContext {
-                graph: &graph,
-                kb: Some(kb),
-            };
-            for violation in violations(&v.mined.check, ctx) {
-                cases.push(mdc::prune(&graph, &violation.binding, kb).program);
-                if cases.len() >= max_per_check {
-                    break 'programs;
-                }
-            }
-        }
+        let cases = violating_cases(&v.mined.check, &index, kb, max_per_check);
         // `examined` keeps the sequential contract: cases after the first
         // counterexample do not count (a one-at-a-time pass never reaches
         // them), so the report is identical either way.
@@ -131,6 +116,38 @@ pub fn counterexample_pass_obs<D: DeployOracle>(
     report.demoted.dedup();
     obs.counter("validation.ce.examined", report.examined as u64);
     report
+}
+
+/// The first `max` violations of `check` across the indexed corpus, in
+/// corpus then enumeration order, each pruned around its violation.
+fn violating_cases(
+    check: &Check,
+    index: &mdc::CorpusIndex,
+    kb: &KnowledgeBase,
+    max: usize,
+) -> Vec<Program> {
+    let mut cases = Vec::new();
+    for (i, graph) in index.graphs().iter().enumerate() {
+        if cases.len() >= max {
+            break;
+        }
+        if !index.may_bind(i, check) {
+            continue;
+        }
+        let ctx = EvalContext {
+            graph,
+            kb: Some(kb),
+        };
+        let found = violations(check, ctx);
+        let room = max - cases.len();
+        cases.extend(
+            found
+                .iter()
+                .take(room)
+                .map(|v| mdc::prune(graph, &v.binding, kb).program),
+        );
+    }
+    cases
 }
 
 #[cfg(test)]

@@ -686,10 +686,9 @@ impl<'a, D: DeployOracle> Scheduler<'a, D> {
                 kb: Some(self.kb),
             };
             let donor_node = graph.node(&donor_id);
-            let found = zodiac_spec::witnesses(check, ctx);
-            let Some(w) = found
-                .iter()
-                .find(|w| w.binding.get(var).copied() == donor_node)
+            let Some(w) = zodiac_spec::instances(check, ctx)
+                .into_iter()
+                .find(|w| w.is_witness() && w.binding.get(var).copied() == donor_node)
             else {
                 continue;
             };
