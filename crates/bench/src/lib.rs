@@ -11,7 +11,7 @@ use zodiac::{PipelineConfig, PipelineResult};
 use zodiac_kb::KnowledgeBase;
 use zodiac_mining::MinedCheck;
 use zodiac_model::Program;
-use zodiac_obs::{JsonLinesSink, MemoryRecorder, MetricsSnapshot, Obs, PerfettoSink, Recorder};
+use zodiac_obs::{JsonLinesSink, MemoryRecorder, MetricsSnapshot, Obs, Recorder};
 use zodiac_spec::{Check, ShapeCategory};
 use zodiac_validation::{mdc, mutate, DeployOracle};
 
@@ -42,13 +42,12 @@ pub fn run_eval_pipeline_obs(obs: &Obs) -> (PipelineResult, Vec<Program>) {
 
 /// Observability harness shared by the experiment binaries: an always-on
 /// in-memory registry (so every record gains a funnel-stage metrics dump),
-/// plus an optional JSON-lines trace sink enabled by `--trace-out FILE`
-/// and an optional Chrome/Perfetto exporter enabled by `--perfetto-out
-/// FILE` on the process command line.
+/// plus an optional JSON-lines trace sink enabled by `--trace-out FILE` on
+/// the process command line (`zodiac report --trace FILE --perfetto OUT`
+/// turns the trace into a Chrome/Perfetto timeline).
 pub struct ExpObs {
     registry: Arc<MemoryRecorder>,
     trace: Option<Arc<JsonLinesSink>>,
-    perfetto: Option<Arc<PerfettoSink>>,
     /// The handle to thread into pipeline runs and deploy engines.
     pub obs: Obs,
 }
@@ -60,8 +59,7 @@ impl Default for ExpObs {
 }
 
 impl ExpObs {
-    /// Builds the harness from the process arguments (`--trace-out FILE`,
-    /// `--perfetto-out FILE`).
+    /// Builds the harness from the process arguments (`--trace-out FILE`).
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         let arg_value = |flag: &str| {
@@ -81,15 +79,10 @@ impl ExpObs {
         if let Some(sink) = &trace {
             sinks.push(sink.clone());
         }
-        let perfetto = arg_value("--perfetto-out").map(|path| Arc::new(PerfettoSink::create(path)));
-        if let Some(sink) = &perfetto {
-            sinks.push(sink.clone());
-        }
         let obs = Obs::fanout(sinks);
         ExpObs {
             registry,
             trace,
-            perfetto,
             obs,
         }
     }
@@ -102,8 +95,7 @@ impl ExpObs {
     /// Writes the experiment record under `target/experiments/` with the
     /// funnel metrics embedded as a top-level `metrics` key, then appends
     /// the final snapshot line to the trace file (if `--trace-out` was
-    /// given), flushes it, and writes the Perfetto export (if
-    /// `--perfetto-out` was given).
+    /// given) and flushes it.
     pub fn write_json_with_metrics<T: Serialize>(&self, name: &str, value: &T) {
         let snap = self.snapshot();
         let mut record = value.serialize();
@@ -114,11 +106,6 @@ impl ExpObs {
         if let Some(sink) = &self.trace {
             sink.write_snapshot(&snap);
             let _ = sink.flush();
-        }
-        if let Some(sink) = &self.perfetto {
-            if let Err(e) = sink.finish() {
-                eprintln!("warning: cannot write perfetto trace: {e}");
-            }
         }
     }
 }

@@ -20,7 +20,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use zodiac::provenance;
 use zodiac_model::Program;
-use zodiac_obs::{JsonLinesSink, MemoryRecorder, MetricsSnapshot, Obs, PerfettoSink, Recorder};
+use zodiac_obs::{JsonLinesSink, MemoryRecorder, MetricsSnapshot, Obs, Recorder};
 use zodiac_spec::{parse_check, Check};
 
 fn main() -> ExitCode {
@@ -121,9 +121,9 @@ OBSERVABILITY OPTIONS (mine, scan, repair, deploy, fuzz):
     --metrics            print the funnel/latency metrics summary on exit
     --trace-out FILE     stream structured spans + candidate lifecycle events
                          as JSON lines (schema v2), plus a final metrics
-                         snapshot, to FILE
-    --perfetto-out FILE  write the run's timeline as Chrome/Perfetto
-                         trace-event JSON (opens in ui.perfetto.dev)
+                         snapshot, to FILE (`zodiac report --trace FILE
+                         --perfetto OUT` turns it into a Chrome/Perfetto
+                         timeline that opens in ui.perfetto.dev)
 
 PROGRAM is .tf (Terraform source) or .json (terraform show -json plan).";
 
@@ -280,23 +280,20 @@ fn cmd_deploy_cache(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// The CLI's observability wiring, parsed from
-/// `--metrics`/`--trace-out`/`--perfetto-out`.
+/// The CLI's observability wiring, parsed from `--metrics`/`--trace-out`.
 struct ObsFlags {
     metrics: bool,
     trace: Option<Arc<JsonLinesSink>>,
-    perfetto: Option<Arc<PerfettoSink>>,
     registry: Arc<MemoryRecorder>,
     obs: Obs,
 }
 
-/// Parses the shared `--metrics` / `--trace-out FILE` / `--perfetto-out
-/// FILE` observability flags. With no flag the returned handle is null, so
-/// instrumented code paths stay free.
+/// Parses the shared `--metrics` / `--trace-out FILE` observability flags.
+/// With no flag the returned handle is null, so instrumented code paths
+/// stay free.
 fn take_obs_flags(args: &mut Vec<String>) -> Result<ObsFlags, String> {
     let metrics = take_switch(args, "--metrics");
     let trace_path = take_flag(args, "--trace-out");
-    let perfetto_path = take_flag(args, "--perfetto-out");
     let registry = Arc::new(MemoryRecorder::new());
     let mut sinks: Vec<Arc<dyn Recorder>> = vec![registry.clone()];
     let trace = match trace_path {
@@ -309,15 +306,7 @@ fn take_obs_flags(args: &mut Vec<String>) -> Result<ObsFlags, String> {
         }
         None => None,
     };
-    let perfetto = match perfetto_path {
-        Some(path) => {
-            let sink = Arc::new(PerfettoSink::create(&path));
-            sinks.push(sink.clone());
-            Some(sink)
-        }
-        None => None,
-    };
-    let obs = if metrics || trace.is_some() || perfetto.is_some() {
+    let obs = if metrics || trace.is_some() {
         Obs::fanout(sinks)
     } else {
         Obs::null()
@@ -325,7 +314,6 @@ fn take_obs_flags(args: &mut Vec<String>) -> Result<ObsFlags, String> {
     Ok(ObsFlags {
         metrics,
         trace,
-        perfetto,
         registry,
         obs,
     })
@@ -333,16 +321,12 @@ fn take_obs_flags(args: &mut Vec<String>) -> Result<ObsFlags, String> {
 
 impl ObsFlags {
     /// Emits the end-of-run artifacts: the final snapshot line of the trace
-    /// file, the Perfetto export, and the `--metrics` summary table.
+    /// file and the `--metrics` summary table.
     fn finish(&self) -> Result<(), String> {
         if let Some(sink) = &self.trace {
             sink.write_snapshot(&self.registry.snapshot());
             sink.flush()
                 .map_err(|e| format!("cannot flush trace file: {e}"))?;
-        }
-        if let Some(sink) = &self.perfetto {
-            sink.finish()
-                .map_err(|e| format!("cannot write perfetto trace: {e}"))?;
         }
         if self.metrics {
             eprint!("{}", self.registry.snapshot().render());

@@ -848,19 +848,56 @@ mod tests {
 
     #[test]
     fn perfetto_export_round_trips_spans_and_instants() {
-        let trace = Trace::parse(SAMPLE);
+        // A deploy outcome as the trace sink writes it, appended after the
+        // sample so it is the last event on the timeline.
+        let deploy = zodiac_obs::CandidateEvent {
+            fingerprint: 0xAB,
+            ts_us: 2000,
+            kind: zodiac_obs::Lifecycle::DeployOutcome {
+                polarity: zodiac_obs::Polarity::FpProbe,
+                success: false,
+                phase: "plugin checks".into(),
+                rule: "R1".into(),
+                cached: true,
+            },
+        };
+        let trace = Trace::parse(&format!("{SAMPLE}{}\n", deploy.to_json()));
         let json = trace.to_perfetto_json();
         let v: serde_json::Value = serde_json::from_str(&json).expect("well-formed");
         let events = v
             .get("traceEvents")
             .and_then(|e| e.as_array())
             .expect("traceEvents");
-        assert_eq!(events.len(), 5 + 20);
+        assert_eq!(events.len(), 5 + 21);
         // ts must be monotonic.
         let ts: Vec<u64> = events
             .iter()
             .map(|e| e.get("ts").and_then(|t| t.as_u64()).unwrap())
             .collect();
         assert!(ts.windows(2).all(|w| w[0] <= w[1]));
+        // Lifecycle args keep their JSON types: strings stay strings and
+        // `cached` is a bool.
+        let last = events.last().expect("deploy outcome instant");
+        assert_eq!(
+            last.get("name").and_then(|n| n.as_str()),
+            Some("deploy_outcome")
+        );
+        assert_eq!(last.get("ph").and_then(|p| p.as_str()), Some("i"));
+        let args = last.get("args").expect("args");
+        assert_eq!(
+            args.get("fp").and_then(|f| f.as_str()),
+            Some("00000000000000ab")
+        );
+        assert_eq!(
+            args.get("polarity").and_then(|p| p.as_str()),
+            Some("fp_probe")
+        );
+        assert_eq!(
+            args.get("phase").and_then(|p| p.as_str()),
+            Some("plugin checks")
+        );
+        assert_eq!(args.get("rule").and_then(|r| r.as_str()), Some("R1"));
+        assert_eq!(args.get("success").and_then(|s| s.as_bool()), Some(false));
+        assert_eq!(args.get("cached").and_then(|c| c.as_bool()), Some(true));
     }
 }

@@ -4,14 +4,16 @@
 //! Scrapers speak plain HTTP/1.1 with no exotic features, so this is a
 //! request-line parser plus a header drain — no external dependencies, no
 //! keep-alive (every response closes the connection, which Prometheus
-//! handles fine and which keeps the loop identical in shape to the UDS
-//! server: nonblocking accept, cooperative shutdown, worker join).
+//! handles fine). Connections come from the UDS server's accept loop
+//! ([`crate::server`]): nonblocking accept, cooperative shutdown, worker
+//! join.
 //!
 //! Readiness semantics: `/healthz` answers `503 starting` until
 //! [`Daemon::set_ready`] ran (store recovered + initial check import
 //! published), then `200 ok`. `/metrics` serves at any time — partial
 //! telemetry during start-up is better than none.
 
+use crate::server::accept_loop;
 use crate::Daemon;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -23,30 +25,11 @@ use std::time::Duration;
 /// binary print the resolved address (port 0 is useful in tests/CI).
 pub fn serve_http(daemon: Arc<Daemon>, listener: TcpListener) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
-    let mut workers = Vec::new();
-    while !daemon.is_shutdown() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                let daemon = daemon.clone();
-                workers.push(std::thread::spawn(move || {
-                    let _ = serve_connection(&daemon, stream);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
-        }
-        workers.retain(|w| !w.is_finished());
-    }
-    for w in workers {
-        let _ = w.join();
-    }
-    Ok(())
+    accept_loop(&daemon, || listener.accept(), serve_connection)
 }
 
 fn serve_connection(daemon: &Daemon, stream: TcpStream) -> std::io::Result<()> {
+    stream.set_nonblocking(false)?;
     // A scraper that stalls mid-request must not pin a worker forever.
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     let mut reader = BufReader::new(stream.try_clone()?);

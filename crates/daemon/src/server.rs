@@ -1,5 +1,6 @@
 //! Serving loops: Unix domain socket (thread per connection) and the
-//! `--oneshot` stdin/stdout mode.
+//! `--oneshot` stdin/stdout mode, plus the one accept loop that the UDS
+//! server and the metrics endpoint ([`crate::http`]) share.
 //!
 //! Both loops are line-oriented front-ends over [`Daemon::handle_line`];
 //! every concurrency concern (snapshot capture, memoization, store
@@ -38,9 +39,9 @@ pub fn serve_lines(
 }
 
 /// Binds `path` and serves until a `shutdown` request. Removes a stale
-/// socket file first and cleans it up on exit; connection threads are
-/// joined before returning, so a `shutdown` acknowledgement implies all
-/// in-flight responses were written.
+/// socket file first and cleans it up on exit and on error; connection
+/// threads are joined before returning, so a `shutdown` acknowledgement
+/// implies all in-flight responses were written.
 pub fn serve_uds(daemon: Arc<Daemon>, path: &Path) -> std::io::Result<()> {
     match std::fs::remove_file(path) {
         Ok(()) => {}
@@ -48,37 +49,48 @@ pub fn serve_uds(daemon: Arc<Daemon>, path: &Path) -> std::io::Result<()> {
         Err(e) => return Err(e),
     }
     let listener = UnixListener::bind(path)?;
-    // Nonblocking accept + poll keeps shutdown purely cooperative: no
-    // self-connect wakeups, no signal handling.
-    listener.set_nonblocking(true)?;
+    let served = listener
+        .set_nonblocking(true)
+        .and_then(|()| accept_loop(&daemon, || listener.accept(), serve_connection));
+    let _ = std::fs::remove_file(path);
+    served
+}
+
+/// The accept loop both servers share. `accept` polls a nonblocking
+/// listener; each connection gets a thread running `serve`, finished
+/// threads are reaped as the loop goes, and all are joined before the loop
+/// returns, on shutdown or on an accept error. Polling keeps shutdown
+/// purely cooperative: no self-connect wakeups, no signal handling.
+pub(crate) fn accept_loop<S: Send + 'static, A>(
+    daemon: &Arc<Daemon>,
+    mut accept: impl FnMut() -> std::io::Result<(S, A)>,
+    serve: fn(&Daemon, S) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     let mut workers = Vec::new();
-    while !daemon.is_shutdown() {
-        match listener.accept() {
+    let mut accepting = Ok(());
+    while accepting.is_ok() && !daemon.is_shutdown() {
+        match accept() {
             Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
                 let daemon = daemon.clone();
                 workers.push(std::thread::spawn(move || {
-                    let _ = serve_connection(&daemon, stream);
+                    let _ = serve(&daemon, stream);
                 }));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
             }
-            Err(e) => {
-                let _ = std::fs::remove_file(path);
-                return Err(e);
-            }
+            Err(e) => accepting = Err(e),
         }
         workers.retain(|w| !w.is_finished());
     }
     for w in workers {
         let _ = w.join();
     }
-    let _ = std::fs::remove_file(path);
-    Ok(())
+    accepting
 }
 
 fn serve_connection(daemon: &Daemon, stream: UnixStream) -> std::io::Result<()> {
+    stream.set_nonblocking(false)?;
     let reader = BufReader::new(stream.try_clone()?);
     serve_lines(daemon, reader, stream)
 }

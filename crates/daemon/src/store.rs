@@ -15,17 +15,17 @@
 //! snapshots, so a record is self-verifying: on load the text is re-parsed
 //! and re-fingerprinted, and a mismatch is corruption, not a quiet skip.
 //!
-//! Crash tolerance is asymmetric by design: a torn *final* record (the
-//! write that was in flight when the process died) is dropped and the file
-//! truncated back to the last durable record, while a malformed record in
-//! the *interior* of the log — which no crash of this writer can produce —
-//! is a hard error.
+//! The file is a [`zodiac_deployer::AppendLog`], which keeps the crash
+//! contract: a torn *final* record (the write that was in flight when the
+//! process died) is dropped and the file truncated back to the last durable
+//! record, while a malformed record in the *interior* of the log — which no
+//! crash of this writer can produce — is a hard error. This module keeps
+//! only the record format, the live map and the compaction trigger.
 
 use serde::{Map, Value};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use zodiac_deployer::{AppendLog, Durability};
 use zodiac_spec::{parse_check, Check};
 
 /// File name of the log inside the store directory.
@@ -118,99 +118,27 @@ pub struct LoadReport {
 /// The append-only check store.
 #[derive(Debug)]
 pub struct CheckStore {
-    path: PathBuf,
-    file: File,
+    log: AppendLog,
     live: BTreeMap<u64, StoredCheck>,
     seq: u64,
-    /// Total check+retire records in the log, live or not — the compaction
-    /// trigger compares this against `live.len()`.
-    records: usize,
 }
 
 impl CheckStore {
     /// Opens (creating if needed) the store under `dir` and replays the
     /// log.
     pub fn open(dir: &Path) -> Result<(CheckStore, LoadReport), String> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        let path = dir.join(LOG_NAME);
-        let mut report = LoadReport::default();
         let mut live = BTreeMap::new();
         let mut seq = 0u64;
-        let mut records = 0usize;
-
-        let existing = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
+        let (log, dropped_partial) =
+            AppendLog::open(&dir.join(LOG_NAME), HEADER, Durability::Ledger, |line| {
+                Self::replay(line, &mut live).map(|s| seq = seq.max(s))
+            })?;
+        let report = LoadReport {
+            records: log.records(),
+            live: live.len(),
+            dropped_partial,
         };
-        // Byte offset of the end of the last record that parsed, newline
-        // included; everything past it is a torn tail to truncate away.
-        let mut durable_end = 0usize;
-        let mut offset = 0usize;
-        let mut lines = existing.split_inclusive('\n').peekable();
-        if existing.is_empty() {
-            let mut file = File::create(&path)
-                .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-            writeln!(file, "{HEADER}")
-                .and_then(|()| file.sync_all())
-                .map_err(io_err(&path))?;
-        } else {
-            let header = lines.next().unwrap_or_default();
-            if header.trim_end() != HEADER {
-                return Err(format!(
-                    "{}: not a zodiacd store (bad header)",
-                    path.display()
-                ));
-            }
-            offset += header.len();
-            durable_end = offset;
-            while let Some(line) = lines.next() {
-                // A record is durable only when its newline made it to
-                // disk; a complete-looking final line without one is
-                // indistinguishable from a torn write, so it is dropped
-                // before replay ever sees it.
-                if !line.ends_with('\n') {
-                    report.dropped_partial = true;
-                    break;
-                }
-                let last = lines.peek().is_none();
-                match Self::replay(line.trim_end_matches('\n'), &mut live) {
-                    Ok(record_seq) => {
-                        seq = seq.max(record_seq);
-                        records += 1;
-                        offset += line.len();
-                        durable_end = offset;
-                    }
-                    Err(_) if last => {
-                        report.dropped_partial = true;
-                        break;
-                    }
-                    Err(e) => {
-                        return Err(format!("{}: corrupt record: {e}", path.display()));
-                    }
-                }
-            }
-        }
-
-        let file = OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| format!("cannot append to {}: {e}", path.display()))?;
-        if report.dropped_partial {
-            file.set_len(durable_end as u64).map_err(io_err(&path))?;
-            file.sync_all().map_err(io_err(&path))?;
-        }
-        report.records = records;
-        report.live = live.len();
-        let store = CheckStore {
-            path,
-            file,
-            live,
-            seq,
-            records,
-        };
-        Ok((store, report))
+        Ok((CheckStore { log, live, seq }, report))
     }
 
     /// Applies one parsed record to the live map, returning its seq.
@@ -292,8 +220,7 @@ impl CheckStore {
             support,
             confidence_ppm,
         };
-        self.write_line(&stored.to_line())?;
-        self.records += 1;
+        self.log.append(&stored.to_line())?;
         self.live.insert(stored.fingerprint(), stored);
         Ok(self.seq)
     }
@@ -309,20 +236,9 @@ impl CheckStore {
             "{{\"record\":\"retire\",\"seq\":{},\"fp\":\"{fp:016x}\"}}",
             self.seq
         );
-        self.write_line(&line)?;
-        self.records += 1;
+        self.log.append(&line)?;
         self.live.remove(&fp);
         Ok(true)
-    }
-
-    fn write_line(&mut self, line: &str) -> Result<(), String> {
-        let mut buf = String::with_capacity(line.len() + 1);
-        buf.push_str(line);
-        buf.push('\n');
-        self.file
-            .write_all(buf.as_bytes())
-            .and_then(|()| self.file.sync_all())
-            .map_err(io_err(&self.path))
     }
 
     /// The live checks, keyed by fingerprint.
@@ -346,47 +262,97 @@ impl CheckStore {
 
     /// Records in the log (live or superseded), header excluded.
     pub fn records(&self) -> usize {
-        self.records
+        self.log.records()
     }
 
     /// Whether enough of the log is dead weight for compaction to pay off.
     pub fn wants_compaction(&self) -> bool {
-        self.records > 2 * self.live.len() + 16
+        self.log.records() > 2 * self.live.len() + 16
     }
 
     /// Rewrites the log to hold only the live records, byte-for-byte
     /// identical to their original form (same seq numbers), via a temp file
     /// renamed into place.
     pub fn compact(&mut self) -> Result<(), String> {
-        let tmp_path = self.path.with_extension("log.tmp");
-        {
-            let mut tmp = File::create(&tmp_path).map_err(io_err(&tmp_path))?;
-            let mut buf = String::new();
-            buf.push_str(HEADER);
-            buf.push('\n');
-            for c in self.live_in_seq_order() {
-                buf.push_str(&c.to_line());
-                buf.push('\n');
-            }
-            tmp.write_all(buf.as_bytes())
-                .and_then(|()| tmp.sync_all())
-                .map_err(io_err(&tmp_path))?;
-        }
-        std::fs::rename(&tmp_path, &self.path).map_err(io_err(&self.path))?;
-        self.file = OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(io_err(&self.path))?;
-        self.records = self.live.len();
-        Ok(())
+        let live = self.live_in_seq_order();
+        let lines: Vec<String> = live.iter().map(|c| c.to_line()).collect();
+        self.log.rewrite(lines)
     }
 
     /// Path of the log file.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 }
 
-fn io_err(path: &Path) -> impl Fn(std::io::Error) -> String + '_ {
-    move |e| format!("{}: {e}", path.display())
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::PathBuf;
+
+    fn temp_store(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("zodiacd-store-unit-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn admit(store: &mut CheckStore, src: &str) {
+        let check = parse_check(src).unwrap();
+        store
+            .admit(check, Origin::Imported, "imported", 0, 0)
+            .unwrap();
+    }
+
+    #[test]
+    fn torn_tail_inside_a_multibyte_character_is_dropped() {
+        let dir = temp_store("utf8");
+        {
+            let (mut store, _) = CheckStore::open(&dir).unwrap();
+            admit(
+                &mut store,
+                "let r:VM in r.priority == 'Spot' => r.eviction_policy != null",
+            );
+            admit(
+                &mut store,
+                "let r:VM in r.size == 'café' => r.priority != null",
+            );
+        }
+        // Cut the final record after the first byte of 'é'.
+        let log = dir.join(LOG_NAME);
+        let bytes = std::fs::read(&log).unwrap();
+        let cut = bytes.windows(2).rposition(|w| w == "é".as_bytes()).unwrap() + 1;
+        std::fs::write(&log, &bytes[..cut]).unwrap();
+
+        let (mut store, report) = CheckStore::open(&dir).unwrap();
+        assert!(report.dropped_partial, "torn tail must be reported");
+        assert_eq!(report.live, 1);
+        admit(
+            &mut store,
+            "let r:VM in r.size == 'café' => r.priority != null",
+        );
+        drop(store);
+        let (store, report) = CheckStore::open(&dir).unwrap();
+        assert!(!report.dropped_partial);
+        assert_eq!(store.live().len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn header_without_its_newline_opens_as_an_empty_store() {
+        let dir = temp_store("header");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(LOG_NAME), HEADER).unwrap();
+        let (mut store, report) = CheckStore::open(&dir).unwrap();
+        assert_eq!(report.live, 0);
+        admit(
+            &mut store,
+            "let r:VM in r.priority == 'Spot' => r.eviction_policy != null",
+        );
+        drop(store);
+        let (store, report) = CheckStore::open(&dir).unwrap();
+        assert_eq!(report.records, 1);
+        assert_eq!(store.live().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -29,12 +29,18 @@
 //! The engine implements [`DeployOracle`] itself, so swapping it in is
 //! transparent: `R_v` from a parallel, cached, fault-injected run is
 //! identical to a direct sequential run against the same backend.
+//!
+//! Verdicts can also outlive the process in a [`DeployMemo`], built on
+//! [`AppendLog`]: the one crash-tolerant append-only log, which `zodiacd`'s
+//! check store uses too.
 
+pub mod append_log;
 pub mod engine;
 pub mod fault;
 pub mod fingerprint;
 pub mod memo;
 
+pub use append_log::{AppendLog, Durability};
 pub use engine::{DeployEngine, DeployerConfig};
 pub use fault::{AttemptInjector, FaultConfig};
 pub use fingerprint::fingerprint;

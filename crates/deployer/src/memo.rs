@@ -4,8 +4,8 @@
 //! The in-memory memo in [`crate::DeployEngine`] only helps within one
 //! process; bench reruns, experiment sweeps, and every `zodiacd` corpus
 //! delta re-probe the same test deployments from scratch. This module
-//! hoists the daemon check store's log machinery into a deploy-result memo
-//! shared across processes and runs (`--deploy-cache PATH`):
+//! keeps a deploy-result memo shared across processes and runs
+//! (`--deploy-cache PATH`):
 //!
 //! ```text
 //! {"record":"zodiac-deploy-memo","schema":1}          header (first line)
@@ -17,18 +17,19 @@
 //! the full [`DeployReport`] JSON, so a hit reproduces the backend verdict
 //! exactly.
 //!
-//! Unlike the check store, the memo is a *cache*, not a ledger: losing the
-//! tail of the log only costs re-deploys, never correctness. Appends are
-//! therefore single `write(2)`s (immediately visible to other processes)
-//! without a per-record fsync; [`DeployMemo::sync`] forces durability at
-//! engine shutdown. Crash tolerance mirrors the store: a torn *final* line
-//! is dropped and truncated away on open, while a malformed *interior*
-//! record — which no crash of this writer can produce — is a hard error.
+//! The file is an [`AppendLog`], the same log as the daemon's check store
+//! and with the same crash contract: a torn *final* line is dropped and
+//! truncated away on open, while a malformed *interior* record — which no
+//! crash of this writer can produce — is a hard error. Unlike the store,
+//! the memo is a *cache*, not a ledger: losing the tail of the log only
+//! costs re-deploys, never correctness. Appends are therefore single
+//! `write(2)`s (immediately visible to other processes) without a
+//! per-record fsync; [`DeployMemo::sync`] forces durability at engine
+//! shutdown.
 
+use crate::append_log::{AppendLog, Durability};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use zodiac_cloud::DeployReport;
 
 const HEADER: &str = "{\"record\":\"zodiac-deploy-memo\",\"schema\":1}";
@@ -59,95 +60,23 @@ pub struct MemoStats {
 /// The append-only deploy-verdict memo.
 #[derive(Debug)]
 pub struct DeployMemo {
-    path: PathBuf,
-    file: File,
+    log: AppendLog,
     entries: HashMap<u128, DeployReport>,
-    records: usize,
 }
 
 impl DeployMemo {
     /// Opens (creating if needed) the memo file and replays it.
     pub fn open(path: &Path) -> Result<(DeployMemo, MemoLoadReport), String> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-            }
-        }
-        let mut report = MemoLoadReport::default();
         let mut entries = HashMap::new();
-        let mut records = 0usize;
-
-        let existing = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
+        let (log, dropped_partial) = AppendLog::open(path, HEADER, Durability::Cache, |line| {
+            Self::replay(line, &mut entries)
+        })?;
+        let report = MemoLoadReport {
+            records: log.records(),
+            entries: entries.len(),
+            dropped_partial,
         };
-        // Byte offset of the end of the last record that parsed, newline
-        // included; everything past it is a torn tail to truncate away.
-        let mut durable_end = 0usize;
-        let mut offset = 0usize;
-        let mut lines = existing.split_inclusive('\n').peekable();
-        if existing.is_empty() {
-            let mut file =
-                File::create(path).map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-            writeln!(file, "{HEADER}")
-                .and_then(|()| file.sync_all())
-                .map_err(io_err(path))?;
-        } else {
-            let header = lines.next().unwrap_or_default();
-            if header.trim_end() != HEADER {
-                return Err(format!(
-                    "{}: not a deploy memo (bad header)",
-                    path.display()
-                ));
-            }
-            offset += header.len();
-            durable_end = offset;
-            while let Some(line) = lines.next() {
-                // A record is durable only when its newline made it to
-                // disk; a complete-looking final line without one is
-                // indistinguishable from a torn write, so it is dropped
-                // before replay ever sees it.
-                if !line.ends_with('\n') {
-                    report.dropped_partial = true;
-                    break;
-                }
-                let last = lines.peek().is_none();
-                match Self::replay(line.trim_end_matches('\n'), &mut entries) {
-                    Ok(()) => {
-                        records += 1;
-                        offset += line.len();
-                        durable_end = offset;
-                    }
-                    Err(_) if last => {
-                        report.dropped_partial = true;
-                        break;
-                    }
-                    Err(e) => {
-                        return Err(format!("{}: corrupt record: {e}", path.display()));
-                    }
-                }
-            }
-        }
-
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("cannot append to {}: {e}", path.display()))?;
-        if report.dropped_partial {
-            file.set_len(durable_end as u64).map_err(io_err(path))?;
-            file.sync_all().map_err(io_err(path))?;
-        }
-        report.records = records;
-        report.entries = entries.len();
-        let memo = DeployMemo {
-            path: path.to_path_buf(),
-            file,
-            entries,
-            records,
-        };
-        Ok((memo, report))
+        Ok((DeployMemo { log, entries }, report))
     }
 
     /// Applies one parsed record to the entry map.
@@ -186,21 +115,14 @@ impl DeployMemo {
         if self.entries.contains_key(&fp) {
             return Ok(false);
         }
-        let line = record_line(fp, report);
-        let mut buf = String::with_capacity(line.len() + 1);
-        buf.push_str(&line);
-        buf.push('\n');
-        self.file
-            .write_all(buf.as_bytes())
-            .map_err(io_err(&self.path))?;
-        self.records += 1;
+        self.log.append(&record_line(fp, report))?;
         self.entries.insert(fp, report.clone());
         Ok(true)
     }
 
     /// Forces all appended records to stable storage.
     pub fn sync(&self) -> Result<(), String> {
-        self.file.sync_all().map_err(io_err(&self.path))
+        self.log.sync()
     }
 
     /// Number of distinct fingerprints.
@@ -216,43 +138,24 @@ impl DeployMemo {
     /// The memo's shape: records, entries, file size.
     pub fn stats(&self) -> MemoStats {
         MemoStats {
-            records: self.records,
+            records: self.log.records(),
             entries: self.entries.len(),
-            bytes: std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0),
+            bytes: std::fs::metadata(self.path()).map_or(0, |m| m.len()),
         }
     }
 
     /// Rewrites the log to one record per distinct fingerprint (in
     /// fingerprint order), via a temp file renamed into place.
     pub fn compact(&mut self) -> Result<(), String> {
-        let tmp_path = self.path.with_extension("memo.tmp");
-        {
-            let mut tmp = File::create(&tmp_path).map_err(io_err(&tmp_path))?;
-            let mut buf = String::new();
-            buf.push_str(HEADER);
-            buf.push('\n');
-            let mut fps: Vec<u128> = self.entries.keys().copied().collect();
-            fps.sort_unstable();
-            for fp in fps {
-                buf.push_str(&record_line(fp, &self.entries[&fp]));
-                buf.push('\n');
-            }
-            tmp.write_all(buf.as_bytes())
-                .and_then(|()| tmp.sync_all())
-                .map_err(io_err(&tmp_path))?;
-        }
-        std::fs::rename(&tmp_path, &self.path).map_err(io_err(&self.path))?;
-        self.file = OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(io_err(&self.path))?;
-        self.records = self.entries.len();
-        Ok(())
+        let mut fps: Vec<u128> = self.entries.keys().copied().collect();
+        fps.sort_unstable();
+        let lines = fps.iter().map(|fp| record_line(*fp, &self.entries[fp]));
+        self.log.rewrite(lines)
     }
 
     /// Path of the memo file.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 }
 
@@ -264,13 +167,12 @@ fn record_line(fp: u128, report: &DeployReport) -> String {
     serde::Value::Object(m).to_string()
 }
 
-fn io_err(path: &Path) -> impl Fn(std::io::Error) -> String + '_ {
-    move |e| format!("{}: {e}", path.display())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
     use zodiac_cloud::{DeployOutcome, Phase};
     use zodiac_model::ResourceId;
 
@@ -350,6 +252,49 @@ mod tests {
         let (memo, load) = DeployMemo::open(&path).unwrap();
         assert_eq!(load.records, 3);
         assert_eq!(memo.len(), 3);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn torn_tail_inside_a_multibyte_character_is_dropped() {
+        let path = temp_memo("utf8");
+        let mut zurich = report(1);
+        if let DeployOutcome::Failure { message, .. } = &mut zurich.outcome {
+            *message = "location 'Zürich' is not offered".into();
+        }
+        {
+            let (mut memo, _) = DeployMemo::open(&path).unwrap();
+            memo.record(0, &report(0)).unwrap();
+            memo.record(1, &zurich).unwrap();
+        }
+        // Cut the final record after the first byte of 'ü'.
+        let bytes = std::fs::read(&path).unwrap();
+        let cut = bytes.windows(2).rposition(|w| w == "ü".as_bytes()).unwrap() + 1;
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+
+        let (mut memo, load) = DeployMemo::open(&path).unwrap();
+        assert!(load.dropped_partial, "torn tail must be reported");
+        assert_eq!(load.entries, 1);
+        assert!(memo.record(1, &zurich).unwrap());
+        drop(memo);
+        let (memo, load) = DeployMemo::open(&path).unwrap();
+        assert!(!load.dropped_partial);
+        assert_eq!(memo.get(0), Some(&report(0)));
+        assert_eq!(memo.get(1), Some(&zurich));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn header_without_its_newline_opens_as_an_empty_memo() {
+        let path = temp_memo("header");
+        std::fs::write(&path, HEADER).unwrap();
+        let (mut memo, load) = DeployMemo::open(&path).unwrap();
+        assert_eq!(load.entries, 0);
+        assert!(memo.record(7, &report(7)).unwrap());
+        drop(memo);
+        let (memo, load) = DeployMemo::open(&path).unwrap();
+        assert_eq!(load.records, 1);
+        assert_eq!(memo.get(7), Some(&report(7)));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -18,8 +18,10 @@
 //! * [`JsonLinesSink`], a streaming JSON-lines event sink for the CLI's
 //!   `--trace-out` (schema v2: header, spans with id/parent/attrs,
 //!   lifecycle events, final metrics snapshot);
-//! * [`PerfettoSink`], a buffering exporter producing Chrome trace-event
-//!   JSON that opens directly in `ui.perfetto.dev` (`--perfetto-out`);
+//! * [`chrome_trace_json`], rendering spans and lifecycle events as Chrome
+//!   trace-event JSON that opens directly in `ui.perfetto.dev`; the one
+//!   exporter is `zodiac report --trace FILE --perfetto OUT`, which
+//!   converts a recorded JSON-lines trace after the run;
 //! * [`Obs`], a cheaply-clonable fan-out handle threaded through the
 //!   pipeline. A disabled (null) handle makes every call a no-op over an
 //!   empty sink list, so un-instrumented callers pay nothing measurable;
@@ -87,7 +89,7 @@ pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use event::{CandidateEvent, Lifecycle, Polarity};
 pub use exemplar::{Exemplar, TailExemplars};
 pub use jsonl::JsonLinesSink;
-pub use perfetto::{chrome_trace_json, PerfettoSink, TraceInstant, TraceSpan};
+pub use perfetto::{chrome_trace_json, TraceInstant, TraceSpan};
 pub use prom::{prom_name, render_prometheus};
 pub use registry::MemoryRecorder;
 pub use rolling::{OpWindowSnapshot, RollingRecorder, RollingSnapshot, WindowSummary, RING_LEN};

@@ -1,4 +1,4 @@
-//! Chrome/Perfetto trace-event exporter.
+//! Chrome/Perfetto trace-event rendering.
 //!
 //! Produces the legacy Chrome trace-event JSON format — an object with a
 //! `traceEvents` array of complete (`"ph":"X"`) and instant (`"ph":"i"`)
@@ -7,17 +7,13 @@
 //! candidate lifecycle events become instant events named by their kind
 //! with the check fingerprint in `args.fp`.
 //!
-//! The sink buffers events in memory and writes the file on
-//! [`PerfettoSink::finish`], sorting by start timestamp so consumers (and
-//! the CI monotonicity check) see a time-ordered stream — spans are
-//! *recorded* at end time, so raw emission order is end-ordered, not
-//! start-ordered.
+//! There is one exporter: `zodiac report --trace FILE --perfetto OUT`
+//! converts a recorded JSON-lines trace after the run. Events are sorted by
+//! start timestamp so consumers (and the CI monotonicity check) see a
+//! time-ordered stream — spans are *recorded* at end time, so raw emission
+//! order is end-ordered, not start-ordered.
 
-use crate::{escape_json, AttrValue, CandidateEvent, Lifecycle, Recorder, SpanRecord};
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
+use crate::{escape_json, AttrValue};
 
 /// A buffered span destined for the trace-event array.
 #[derive(Debug, Clone)]
@@ -55,8 +51,8 @@ pub struct TraceInstant {
 ///
 /// Events are emitted sorted by `ts` (stable on ties by span id), one
 /// per line inside the array, so the output is diff-friendly and passes a
-/// monotonic-`ts` scan. Shared by [`PerfettoSink`] and the CLI's
-/// JSONL→Perfetto conversion (`zodiac report --perfetto`).
+/// monotonic-`ts` scan. The CLI's JSONL→Perfetto conversion
+/// (`zodiac report --perfetto`) renders with it.
 pub fn chrome_trace_json(spans: &[TraceSpan], instants: &[TraceInstant]) -> String {
     // Merge-sort both kinds by timestamp; tag spans 0 / instants 1 so the
     // order is total and deterministic.
@@ -124,168 +120,9 @@ pub fn chrome_trace_json(spans: &[TraceSpan], instants: &[TraceInstant]) -> Stri
     out
 }
 
-fn instant_from_lifecycle(event: &CandidateEvent) -> TraceInstant {
-    let mut args = vec![("fp".to_string(), format!("\"{:016x}\"", event.fingerprint))];
-    fn push_str(args: &mut Vec<(String, String)>, key: &str, value: &str) {
-        let mut enc = String::with_capacity(value.len() + 2);
-        enc.push('"');
-        escape_json(value, &mut enc);
-        enc.push('"');
-        args.push((key.to_string(), enc));
-    }
-    match &event.kind {
-        Lifecycle::Mined {
-            template,
-            support,
-            confidence_ppm,
-        } => {
-            push_str(&mut args, "template", template);
-            args.push(("support".into(), support.to_string()));
-            args.push(("confidence_ppm".into(), confidence_ppm.to_string()));
-        }
-        Lifecycle::FilterVerdict { rule, kept } => {
-            push_str(&mut args, "rule", rule);
-            args.push(("kept".into(), kept.to_string()));
-        }
-        Lifecycle::Scheduled { wave, conflicts } => {
-            args.push(("wave".into(), wave.to_string()));
-            args.push(("conflicts".into(), conflicts.to_string()));
-        }
-        Lifecycle::DeployOutcome {
-            polarity,
-            success,
-            phase,
-            rule,
-            cached,
-        } => {
-            push_str(&mut args, "polarity", polarity.as_str());
-            args.push(("success".into(), success.to_string()));
-            if !phase.is_empty() {
-                push_str(&mut args, "phase", phase);
-            }
-            if !rule.is_empty() {
-                push_str(&mut args, "rule", rule);
-            }
-            args.push(("cached".into(), cached.to_string()));
-        }
-        Lifecycle::Validated { via_group } => {
-            args.push(("via_group".into(), via_group.to_string()));
-        }
-        Lifecycle::Demoted { reason } => {
-            push_str(&mut args, "reason", reason);
-        }
-        Lifecycle::Served {
-            program,
-            violations,
-            cached,
-        } => {
-            push_str(&mut args, "program", &format!("{program:016x}"));
-            args.push(("violations".into(), violations.to_string()));
-            args.push(("cached".into(), cached.to_string()));
-        }
-        Lifecycle::RepairProposed { program, edits } => {
-            push_str(&mut args, "program", &format!("{program:016x}"));
-            args.push(("edits".into(), edits.to_string()));
-        }
-        Lifecycle::OracleVerdict {
-            layer,
-            pass,
-            detail,
-        } => {
-            args.push(("layer".into(), layer.to_string()));
-            args.push(("pass".into(), pass.to_string()));
-            if !detail.is_empty() {
-                push_str(&mut args, "detail", detail);
-            }
-        }
-        Lifecycle::RepairAccepted { edits } => {
-            args.push(("edits".into(), edits.to_string()));
-        }
-        Lifecycle::RepairRejected { layer, reason } => {
-            args.push(("layer".into(), layer.to_string()));
-            push_str(&mut args, "reason", reason);
-        }
-    }
-    TraceInstant {
-        name: event.kind.kind().to_string(),
-        tid: 1,
-        ts_us: event.ts_us,
-        args,
-    }
-}
-
-/// A [`Recorder`] that buffers structured spans and lifecycle events, then
-/// writes a Chrome/Perfetto trace-event JSON file on
-/// [`finish`](PerfettoSink::finish). Attach with `--perfetto-out <path>`.
-pub struct PerfettoSink {
-    path: PathBuf,
-    spans: Mutex<Vec<TraceSpan>>,
-    instants: Mutex<Vec<TraceInstant>>,
-}
-
-impl PerfettoSink {
-    /// A sink that will write to `path` when finished.
-    pub fn create(path: impl AsRef<Path>) -> Self {
-        PerfettoSink {
-            path: path.as_ref().to_path_buf(),
-            spans: Mutex::new(Vec::new()),
-            instants: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Sorts the buffered events by timestamp and writes the trace file.
-    pub fn finish(&self) -> io::Result<()> {
-        let spans = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
-        let instants = self.instants.lock().unwrap_or_else(PoisonError::into_inner);
-        let json = chrome_trace_json(&spans, &instants);
-        let file = File::create(&self.path)?;
-        let mut out = BufWriter::new(file);
-        out.write_all(json.as_bytes())?;
-        out.flush()
-    }
-}
-
-impl Recorder for PerfettoSink {
-    fn counter(&self, _name: &str, _delta: u64) {}
-    fn gauge_set(&self, _name: &str, _value: u64) {}
-    fn gauge_max(&self, _name: &str, _observed: u64) {}
-    fn histogram(&self, _name: &str, _value: u64) {}
-    fn span(&self, _path: &str, _micros: u64) {
-        // Identity-less spans cannot be placed on the timeline; structured
-        // callers go through span_record.
-    }
-
-    fn span_record(&self, rec: &SpanRecord<'_>) {
-        self.spans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(TraceSpan {
-                id: rec.id,
-                parent: rec.parent,
-                tid: rec.tid,
-                name: rec.path.to_string(),
-                ts_us: rec.ts_us,
-                dur_us: rec.dur_us,
-                attrs: rec
-                    .attrs
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect(),
-            });
-    }
-
-    fn lifecycle(&self, event: &CandidateEvent) {
-        self.instants
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(instant_from_lifecycle(event));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Polarity;
 
     #[test]
     fn renders_sorted_well_formed_trace_events() {
@@ -351,64 +188,5 @@ mod tests {
             Some(3)
         );
         assert_eq!(events[2].get("ph").and_then(|p| p.as_str()), Some("i"));
-    }
-
-    #[test]
-    fn lifecycle_instants_carry_structured_args() {
-        let ev = CandidateEvent {
-            fingerprint: 0xAB,
-            ts_us: 9,
-            kind: Lifecycle::DeployOutcome {
-                polarity: Polarity::FpProbe,
-                success: false,
-                phase: "plugin checks".into(),
-                rule: "R1".into(),
-                cached: true,
-            },
-        };
-        let inst = instant_from_lifecycle(&ev);
-        let json = chrome_trace_json(&[], &[inst]);
-        let v: serde_json::Value = serde_json::from_str(&json).expect("well-formed JSON");
-        let args = v
-            .get("traceEvents")
-            .and_then(|e| e.as_array())
-            .and_then(|a| a.first())
-            .and_then(|e| e.get("args"))
-            .expect("args");
-        assert_eq!(
-            args.get("fp").and_then(|f| f.as_str()),
-            Some("00000000000000ab")
-        );
-        assert_eq!(
-            args.get("polarity").and_then(|p| p.as_str()),
-            Some("fp_probe")
-        );
-        assert_eq!(
-            args.get("phase").and_then(|p| p.as_str()),
-            Some("plugin checks")
-        );
-        assert_eq!(args.get("cached").and_then(|c| c.as_bool()), Some(true));
-    }
-
-    #[test]
-    fn sink_buffers_and_writes_on_finish() {
-        let dir = std::env::temp_dir().join("zodiac-obs-perfetto-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("trace.json");
-        let sink = std::sync::Arc::new(PerfettoSink::create(&path));
-        let obs = crate::Obs::single(sink.clone());
-        let root = obs.start_span("pipeline");
-        obs.start_span("pipeline/corpus").finish();
-        obs.lifecycle(1, Lifecycle::Validated { via_group: false });
-        root.finish();
-        sink.finish().expect("write trace");
-        let text = std::fs::read_to_string(&path).expect("read back");
-        let v: serde_json::Value = serde_json::from_str(&text).expect("well-formed JSON");
-        let events = v
-            .get("traceEvents")
-            .and_then(|e| e.as_array())
-            .expect("traceEvents");
-        assert_eq!(events.len(), 3);
-        std::fs::remove_file(&path).ok();
     }
 }
