@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use zodiac_corpus::{CorpusConfig, ProjectStream};
 use zodiac_mining::{
-    build_stats_sharded, mine, mine_streaming, CorpusStats, MiningConfig, ShardConfig,
+    build_stats_streaming, mine, mine_streaming, CorpusStats, MiningConfig, ShardConfig,
 };
 use zodiac_model::Program;
 
@@ -62,7 +62,7 @@ fn bench_observe_sharded(c: &mut Criterion) {
     let kb = zodiac_kb::azure_kb();
     let cfg = ShardConfig::with_shards(2);
     c.bench_function("mining/observe-60-projects-2-shards", |b| {
-        b.iter(|| build_stats_sharded(&corpus, &kb, true, &cfg))
+        b.iter(|| build_stats_streaming(&corpus, &kb, true, &cfg))
     });
 }
 

@@ -25,9 +25,7 @@
 
 use std::time::Instant;
 use zodiac_corpus::{CorpusConfig, ProjectStream};
-use zodiac_mining::{
-    mine_sharded, mine_streaming, MinedCheck, MiningConfig, MiningReport, ShardConfig,
-};
+use zodiac_mining::{mine_streaming, MinedCheck, MiningConfig, MiningReport, ShardConfig};
 use zodiac_model::Program;
 
 /// FNV-1a over the canonical check-set rendering: stable across runs and
@@ -108,7 +106,7 @@ fn main() {
             .into_iter()
             .map(|p| p.program)
             .collect();
-        mine_sharded(&programs, &kb, &mining_cfg, &shard_cfg)
+        mine_streaming(&programs, &kb, &mining_cfg, &shard_cfg).0
     };
     let wall = start.elapsed();
 

@@ -68,9 +68,9 @@ USAGE:
                 [--validate-projects N]                threads — results are byte-identical for
                                                        any shard count; --stream generates the
                                                        corpus on the fly so 100k+ projects mine
-                                                       without materialising, validating over a
-                                                       re-generated prefix of
-                                                       --validate-projects (default ≤600))
+                                                       without materialising, validating over
+                                                       the first --validate-projects (default
+                                                       ≤600) projects, kept as they stream past)
     zodiac scan --checks FILE [--no-confirm]           scan programs, deploy-confirm violations
                 PROGRAM...                             (--no-confirm skips the deploy cross-check)
     zodiac repair --checks FILE [--max-edits N]        search for a minimal repair satisfying

@@ -88,9 +88,12 @@ pub struct PipelineConfig {
     pub mining_shards: usize,
     /// Stream the corpus through mining one project at a time instead of
     /// materialising `Vec<Project>` — the 100k-project mode. Validation
-    /// (which needs in-memory programs to deploy) then runs over a
-    /// re-generated prefix of the same corpus; see
-    /// [`PipelineConfig::validation_projects`].
+    /// (which needs in-memory programs to deploy) then runs over a prefix
+    /// of the same corpus, kept as it streams past; see
+    /// [`PipelineConfig::validation_projects`]. Keeping the prefix instead
+    /// of generating it again holds it in memory beside the observation
+    /// database for the whole mining pass: at 10k projects with the
+    /// default 600-program prefix, peak RSS rises from ~90 to ~110 MiB.
     pub stream_corpus: bool,
     /// Cap on corpus projects materialised for validation. `None` means all
     /// projects in batch mode and `min(projects, 600)` in streaming mode —
@@ -177,48 +180,39 @@ pub fn run_pipeline_with_obs<D: DeployOracle>(
     obs: &Obs,
 ) -> PipelineResult {
     let pipeline_span = obs.start_span("pipeline");
+    let shard = zodiac_mining::ShardConfig::with_shards(cfg.mining_shards);
     let (corpus_projects, mining, programs) = if cfg.stream_corpus {
         // Streaming mode: projects are generated on demand inside the shard
         // driver's producer loop and never live in memory all at once, so
         // there is no separate `pipeline/corpus` span — generation cost is
         // part of the mining span, and per-project corpus counters are
-        // recorded as each project streams past.
-        let shard = zodiac_mining::ShardConfig::with_shards(cfg.mining_shards);
-        let stream = zodiac_corpus::ProjectStream::new(&cfg.corpus).map(|p| {
-            zodiac_corpus::observe_project(&p, obs);
-            p.program
-        });
-        let (mining, streamed) =
-            zodiac_mining::mine_streaming_obs(stream, kb, &cfg.mining, &shard, obs);
-        // Validation deploys programs, so it needs a materialised corpus:
-        // re-generate a prefix of the same stream (byte-identical projects).
+        // recorded as each project streams past. Validation deploys
+        // programs, so the first `val_n` are kept.
         let val_n = cfg
             .validation_projects
             .unwrap_or_else(|| cfg.corpus.projects.min(600))
             .min(cfg.corpus.projects);
-        let programs: Vec<Program> = zodiac_corpus::ProjectStream::new(&cfg.corpus)
-            .take(val_n)
-            .map(|p| p.program)
-            .collect();
+        let mut programs: Vec<Program> = Vec::with_capacity(val_n);
+        let stream = zodiac_corpus::ProjectStream::new(&cfg.corpus).map(|p| {
+            zodiac_corpus::observe_project(&p, obs);
+            if programs.len() < val_n {
+                programs.push(p.program.clone());
+            }
+            p.program
+        });
+        let (mining, streamed) =
+            zodiac_mining::mine_streaming_obs(stream, kb, &cfg.mining, &shard, obs);
         (streamed, mining, programs)
     } else {
         let corpus = zodiac_corpus::generate_obs(&cfg.corpus, obs);
-        let mut programs: Vec<Program> = corpus.iter().map(|p| p.program.clone()).collect();
-        let mining = if cfg.mining_shards > 1 {
-            zodiac_mining::mine_sharded_obs(
-                &programs,
-                kb,
-                &cfg.mining,
-                &zodiac_mining::ShardConfig::with_shards(cfg.mining_shards),
-                obs,
-            )
-        } else {
-            zodiac_mining::mine_obs(&programs, kb, &cfg.mining, obs)
-        };
+        let corpus_projects = corpus.len();
+        let mut programs: Vec<Program> = corpus.into_iter().map(|p| p.program).collect();
+        let (mining, _) =
+            zodiac_mining::mine_streaming_obs(&programs, kb, &cfg.mining, &shard, obs);
         if let Some(n) = cfg.validation_projects {
             programs.truncate(n);
         }
-        (corpus.len(), mining, programs)
+        (corpus_projects, mining, programs)
     };
 
     let validation_span = obs.start_span("pipeline/validation");
@@ -275,5 +269,29 @@ pub fn run_pipeline_with_obs<D: DeployOracle>(
         counterexamples,
         final_checks,
         deploy_metrics: sim.telemetry(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+    use zodiac_obs::MemoryRecorder;
+
+    #[test]
+    fn every_mining_run_records_op_mine_us() {
+        for shards in [0, 2] {
+            let mut cfg = PipelineConfig::evaluation();
+            cfg.corpus.projects = 40;
+            cfg.counterexample_projects = 0;
+            cfg.mining_shards = shards;
+            let rec = Arc::new(MemoryRecorder::new());
+            run_pipeline_obs(&cfg, &Obs::single(rec.clone()));
+            assert_eq!(
+                rec.snapshot().histogram("op.mine.us").count,
+                1,
+                "{shards} mining shards"
+            );
+        }
     }
 }

@@ -67,7 +67,7 @@ pub struct DaemonConfig {
     /// Worker shards for per-project observation when a delta upserts many
     /// projects at once (0 or 1 = on the serving thread). The incremental
     /// database absorbs shard-built observations through the same exact
-    /// merge the batch shard driver uses, so this never changes the mined
+    /// merge the mining shard driver uses, so this never changes the mined
     /// set.
     pub mining_shards: usize,
 }

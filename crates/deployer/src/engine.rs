@@ -168,11 +168,6 @@ impl<B: DeployOracle + Sync> DeployEngine<B> {
         self.registry.snapshot()
     }
 
-    /// Backward-compatible alias for [`DeployEngine::metrics`].
-    pub fn telemetry_snapshot(&self) -> MetricsSnapshot {
-        self.metrics()
-    }
-
     fn shard(&self, fp: u128) -> &RwLock<HashMap<u128, DeployReport>> {
         &self.cache[(fp % CACHE_SHARDS as u128) as usize]
     }

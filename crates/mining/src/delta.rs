@@ -24,10 +24,10 @@
 //! `PartialEq`-exact, so template instantiation over it yields the same
 //! candidate checks as full re-mining.
 
+use crate::shard::fan_out;
 use crate::stats::{CorpusStats, DegreeKey, DegreeStats, FlattenArena, LengthKey};
 use crate::ShardConfig;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use zodiac_kb::KnowledgeBase;
 use zodiac_model::{Program, Symbol};
 
@@ -157,10 +157,12 @@ impl IncrementalStats {
         replaced
     }
 
-    /// Observes a batch of projects, building each project's single-program
-    /// observation database on `shard.shards` worker threads before folding
-    /// them in sequentially (the fold itself is cheap and id-ordered state —
-    /// supporter indexes, type support — keeps it on the caller's thread).
+    /// Observes a batch of projects. Each project's single-program
+    /// observation database is built on the crate's one worker pool
+    /// ([`crate::shard`]), `shard.shards` workers drawing one project per
+    /// message; the databases are then folded in sequentially, in batch
+    /// order (the fold itself is cheap, and id-ordered state — supporter
+    /// indexes, type support — keeps it on the caller's thread).
     /// Equivalent to calling [`IncrementalStats::observe`] per item, in
     /// order; returns how many existing projects were replaced.
     pub fn observe_batch(
@@ -169,51 +171,24 @@ impl IncrementalStats {
         kb: &KnowledgeBase,
         shard: &ShardConfig,
     ) -> usize {
-        let shards = shard.shards.max(1).min(items.len());
         let use_kb = self.use_kb;
-        let per: Vec<CorpusStats> = if shards <= 1 {
-            let mut arena = FlattenArena::default();
-            items
-                .iter()
-                .map(|(_, p)| {
-                    let mut s = CorpusStats::default();
-                    s.observe_program_with(p, kb, use_kb, &mut arena);
-                    s
-                })
-                .collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let mut indexed: Vec<(usize, CorpusStats)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..shards)
-                    .map(|_| {
-                        let cursor = &cursor;
-                        let items = &items;
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            let mut arena = FlattenArena::default();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= items.len() {
-                                    break;
-                                }
-                                let mut s = CorpusStats::default();
-                                s.observe_program_with(&items[i].1, kb, use_kb, &mut arena);
-                                out.push((i, s));
-                            }
-                            out
-                        })
+        let mut per: Vec<(usize, CorpusStats)> =
+            fan_out(items.iter().enumerate(), shard.shards, 1, |_, items| {
+                let mut arena = FlattenArena::default();
+                items
+                    .map(|(i, (_, p))| {
+                        let mut s = CorpusStats::default();
+                        s.observe_program_with(p, kb, use_kb, &mut arena);
+                        (i, s)
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("observe worker panicked"))
-                    .collect()
-            });
-            indexed.sort_by_key(|(i, _)| *i);
-            indexed.into_iter().map(|(_, s)| s).collect()
-        };
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        per.sort_unstable_by_key(|(i, _)| *i);
         let mut replaced = 0;
-        for ((id, program), stats) in items.into_iter().zip(per) {
+        for ((id, program), (_, stats)) in items.into_iter().zip(per) {
             // Re-observing an id retracts the stored program first, so a
             // duplicate id within one batch degrades to last-write-wins —
             // the same outcome as sequential `observe` calls.
@@ -534,6 +509,49 @@ mod tests {
         }
         let batch = CorpusStats::build(&programs, &kb, true);
         assert_eq!(inc.stats(), &batch);
+    }
+
+    #[test]
+    fn observe_batch_matches_sequential_observes_at_every_shard_count() {
+        let kb = kb();
+        let observe_base = |inc: &mut IncrementalStats| {
+            for i in 0..4 {
+                inc.observe(format!("p{i}"), spot_vm(i), &kb);
+            }
+            inc.take_changed_types();
+        };
+        // The batch re-observes an existing id (`p1`) and repeats one id
+        // (`n2`), so two items replace a project.
+        let batch: Vec<(String, Program)> = vec![
+            ("n0".into(), networked(0)),
+            ("p1".into(), networked(1)),
+            ("n2".into(), networked(2)),
+            ("s5".into(), spot_vm(5)),
+            ("n2".into(), spot_vm(6)),
+            ("n3".into(), networked(3)),
+        ];
+        let mut reference = IncrementalStats::new(true);
+        observe_base(&mut reference);
+        let mut replaced = 0;
+        for (id, p) in &batch {
+            if reference.observe(id.clone(), p.clone(), &kb) {
+                replaced += 1;
+            }
+        }
+        assert_eq!(replaced, 2);
+        let changed = reference.take_changed_types();
+        for shards in [1, 2, 3, 8] {
+            let mut inc = IncrementalStats::new(true);
+            observe_base(&mut inc);
+            let got = inc.observe_batch(batch.clone(), &kb, &ShardConfig::with_shards(shards));
+            assert_eq!(got, replaced, "{shards} shards");
+            assert_eq!(inc.stats(), reference.stats(), "{shards} shards");
+            assert!(
+                inc.project_ids().eq(reference.project_ids()),
+                "{shards} shards"
+            );
+            assert_eq!(inc.take_changed_types(), changed, "{shards} shards");
+        }
     }
 
     #[test]

@@ -28,8 +28,7 @@ pub mod templates;
 pub use delta::IncrementalStats;
 pub use oracle::{DocOracle, InterpQuery};
 pub use shard::{
-    available_shards, build_stats_sharded, build_stats_streaming, mine_sharded, mine_sharded_obs,
-    mine_streaming, mine_streaming_obs, ShardConfig,
+    available_shards, build_stats_streaming, mine_streaming, mine_streaming_obs, ShardConfig,
 };
 pub use stats::CorpusStats;
 
@@ -116,18 +115,15 @@ pub fn mine(programs: &[Program], kb: &KnowledgeBase, cfg: &MiningConfig) -> Min
 /// [`mine`] with an observability handle: records `pipeline/mining/*` stage
 /// spans plus `mining.*` funnel counters (candidates hypothesized per
 /// template family, statistical-filter kills by reason, oracle
-/// interpolation adds/removes).
+/// interpolation adds/removes) and `op.mine.us`. The one-shard case of
+/// [`mine_streaming_obs`].
 pub fn mine_obs(
     programs: &[Program],
     kb: &KnowledgeBase,
     cfg: &MiningConfig,
     obs: &Obs,
 ) -> MiningReport {
-    let _span = obs.start_span("pipeline/mining");
-    let stats_span = obs.start_span("pipeline/mining/stats");
-    let stats = CorpusStats::build(programs, kb, cfg.use_kb);
-    stats_span.finish();
-    mine_stats_inner(&stats, kb, cfg, obs, None)
+    mine_streaming_obs(programs, kb, cfg, &ShardConfig::default(), obs).0
 }
 
 /// Mines from a prebuilt observation database — the entry point for

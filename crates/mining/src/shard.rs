@@ -1,44 +1,50 @@
-//! Shard-parallel corpus observation: the 100k-project mining substrate.
+//! Shard-parallel corpus observation: the 100k-project mining substrate,
+//! and the mining crate's one worker pool.
 //!
 //! [`CorpusStats::build`] folds the whole corpus on one thread. At paper
 //! scale (~6k projects) that is fine; at the 100k+ scale the shard driver
 //! targets, the observation pass dominates mining wall-clock and
 //! parallelises perfectly because per-project observations are independent
-//! (see [`CorpusStats::observe_program`]). The driver here fans projects
-//! across `shards` worker threads, two ways:
+//! (see [`CorpusStats::observe_program`]).
 //!
-//! * [`build_stats_sharded_obs`] — over a materialised `&[Program]`:
-//!   workers *steal* fixed-size chunks of the slice from a shared atomic
-//!   cursor until it is exhausted, so a straggler chunk never idles the
-//!   other workers;
-//! * [`build_stats_streaming_obs`] — over any `Iterator<Item = Program>`:
-//!   the calling thread generates projects and feeds batches through a
-//!   bounded channel that workers pull from; only `shards × batch`-ish
-//!   projects are ever alive at once, so a 100k-project corpus streams
-//!   through mining without a `Vec<Project>` materialisation.
+//! One driver serves every input. [`build_stats_streaming_obs`] takes any
+//! iterator whose items borrow a [`Program`]: `&Program` from a materialised
+//! slice, or `Program` from a `ProjectStream` that never materialises the
+//! corpus. With one shard it folds on the calling thread. Otherwise the
+//! calling thread drives the iterator (corpus generation is sequential per
+//! seed) and feeds messages of at most 32 projects through one bounded
+//! channel that `shards` scoped workers drain; bounded capacity keeps at
+//! most `2 × shards` messages in flight, which is what caps a stream's peak
+//! memory. An input shorter than `32 × shards` gets smaller messages, so
+//! every worker still draws some of it. `IncrementalStats::observe_batch`
+//! runs on the same pool, one project per message.
 //!
 //! Each worker accumulates a **shard-local** [`CorpusStats`] (reusing one
 //! [`FlattenArena`] for every project's flattened attribute vectors) and
 //! the driver merges shard stats **in shard-index order** via
 //! [`CorpusStats::merge_from`]. The merge is exact — integer counters,
 //! set unions, and monotone folds only — so which worker observed which
-//! project never shows: any shard count, any batch size, any scheduling
-//! interleaving produces a database `PartialEq`-identical to the
-//! monolithic build, and therefore byte-identical mined check sets. The
-//! `shard-invariance` fuzz property and the differential tests in
-//! `tests/shard_equivalence.rs` pin exactly that.
+//! project never shows: any shard count, any scheduling interleaving
+//! produces a database `PartialEq`-identical to the monolithic build, and
+//! therefore byte-identical mined check sets. The `shard-invariance` fuzz
+//! property and the differential tests in `tests/shard_equivalence.rs`
+//! pin exactly that.
 //!
 //! Observability: each worker records a `pipeline/mining/stats/shard` leaf
 //! span (attrs `shard`, `projects`), and the final fold records its cost
-//! in the `mining.shard_merge_ns` counter.
+//! in the `mining.shard_merge_ns` counter. A one-shard run records neither.
 
 use crate::stats::{CorpusStats, FlattenArena};
 use crate::{MiningConfig, MiningReport};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::borrow::Borrow;
 use std::time::Instant;
 use zodiac_kb::KnowledgeBase;
 use zodiac_model::Program;
 use zodiac_obs::Obs;
+
+/// Most projects per channel message when mining: large enough to amortise
+/// channel traffic, small enough to balance the tail across workers.
+const MINING_BATCH: usize = 32;
 
 /// Shard-driver configuration.
 #[derive(Debug, Clone)]
@@ -46,34 +52,19 @@ pub struct ShardConfig {
     /// Worker threads observing projects. `1` keeps everything on the
     /// calling thread (no channel, no spawn) and is the default.
     pub shards: usize,
-    /// Projects per work unit — the granularity workers steal at. Large
-    /// enough to amortise queue traffic, small enough to balance tails.
-    pub batch: usize,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        ShardConfig {
-            shards: 1,
-            batch: 32,
-        }
+        ShardConfig { shards: 1 }
     }
 }
 
 impl ShardConfig {
-    /// A configuration using every available core.
-    pub fn all_cores() -> Self {
-        ShardConfig {
-            shards: available_shards(),
-            ..Default::default()
-        }
-    }
-
-    /// `shards` workers with the default batch size.
+    /// `shards` workers (at least one).
     pub fn with_shards(shards: usize) -> Self {
         ShardConfig {
             shards: shards.max(1),
-            ..Default::default()
         }
     }
 }
@@ -85,13 +76,71 @@ pub fn available_shards() -> usize {
         .unwrap_or(1)
 }
 
+/// The crate's one worker pool. Runs `worker` over `items` and returns one
+/// result per worker, in shard-index order.
+///
+/// There are never more workers than the iterator's upper size bound. One
+/// worker runs on the calling thread and is passed `None`. Otherwise the
+/// calling thread feeds messages of at most `batch` items through a bounded
+/// channel to scoped workers, which are passed `Some(shard)` and see the
+/// items they drew, in message order. A known upper size bound `n` also
+/// caps the message size at `n / shards` (rounded up), so a small input is
+/// still split across every worker instead of filling one message.
+pub(crate) fn fan_out<I, R>(
+    items: I,
+    shards: usize,
+    batch: usize,
+    worker: impl Fn(Option<usize>, &mut dyn Iterator<Item = I::Item>) -> R + Sync,
+) -> Vec<R>
+where
+    I: IntoIterator,
+    I::Item: Send,
+    R: Send,
+{
+    let mut items = items.into_iter();
+    let bound = items.size_hint().1.unwrap_or(usize::MAX);
+    let shards = shards.min(bound);
+    if shards <= 1 {
+        return vec![worker(None, &mut items)];
+    }
+    let batch = batch.min(bound.div_ceil(shards)).max(1);
+    let (tx, rx) = crossbeam::channel::bounded::<Vec<I::Item>>(shards * 2);
+    std::thread::scope(|scope| {
+        let worker = &worker;
+        let handles: Vec<_> = (0..shards)
+            .map(|shard| {
+                let rx = rx.clone();
+                scope.spawn(move || worker(Some(shard), &mut rx.iter().flatten()))
+            })
+            .collect();
+        // Only workers hold receivers now, so `send` fails exactly when all
+        // of them are gone — a panic, surfacing at `join` below.
+        drop(rx);
+        loop {
+            let message: Vec<I::Item> = items.by_ref().take(batch).collect();
+            if message.is_empty() || tx.send(message).is_err() {
+                break;
+            }
+        }
+        drop(tx);
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
+            .collect()
+    })
+}
+
 /// Merges shard-local databases in shard-index order; the merge itself is
 /// order-insensitive (integer counters only), so this determinism is
-/// belt-and-braces rather than load-bearing. Records `mining.shard_merge_ns`.
+/// belt-and-braces rather than load-bearing. Records `mining.shard_merge_ns`
+/// unless there is only one shard, which is its own result.
 fn merge_shards(shards: Vec<CorpusStats>, obs: &Obs) -> CorpusStats {
     let start = Instant::now();
     let mut iter = shards.into_iter();
     let mut merged = iter.next().unwrap_or_default();
+    if iter.len() == 0 {
+        return merged;
+    }
     for shard in iter {
         merged.merge_from(&shard);
     }
@@ -99,76 +148,10 @@ fn merge_shards(shards: Vec<CorpusStats>, obs: &Obs) -> CorpusStats {
     merged
 }
 
-/// Builds [`CorpusStats`] over a materialised corpus with `cfg.shards`
-/// workers stealing chunks of the slice. Equals `CorpusStats::build`
-/// exactly, for every shard count.
-pub fn build_stats_sharded(
-    programs: &[Program],
-    kb: &KnowledgeBase,
-    use_kb: bool,
-    cfg: &ShardConfig,
-) -> CorpusStats {
-    build_stats_sharded_obs(programs, kb, use_kb, cfg, &Obs::null())
-}
-
-/// [`build_stats_sharded`] with per-shard spans and merge timing.
-pub fn build_stats_sharded_obs(
-    programs: &[Program],
-    kb: &KnowledgeBase,
-    use_kb: bool,
-    cfg: &ShardConfig,
-    obs: &Obs,
-) -> CorpusStats {
-    let shards = cfg.shards.max(1);
-    if shards == 1 || programs.len() < 2 {
-        let mut stats = CorpusStats::default();
-        let mut arena = FlattenArena::default();
-        for p in programs {
-            stats.observe_program_with(p, kb, use_kb, &mut arena);
-        }
-        return stats;
-    }
-    let batch = cfg.batch.max(1);
-    let chunks = programs.len().div_ceil(batch);
-    let cursor = AtomicUsize::new(0);
-    let shard_stats: Vec<CorpusStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|shard| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut span = obs.start_leaf_span("pipeline/mining/stats/shard");
-                    span.attr("shard", shard);
-                    let mut local = CorpusStats::default();
-                    let mut arena = FlattenArena::default();
-                    let mut observed = 0usize;
-                    loop {
-                        let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= chunks {
-                            break;
-                        }
-                        let start = chunk * batch;
-                        let end = (start + batch).min(programs.len());
-                        for p in &programs[start..end] {
-                            local.observe_program_with(p, kb, use_kb, &mut arena);
-                        }
-                        observed += end - start;
-                    }
-                    span.attr("projects", observed);
-                    span.finish();
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    });
-    merge_shards(shard_stats, obs)
-}
-
-/// Builds [`CorpusStats`] from a project stream without materialising it.
-/// Returns the merged database and the number of projects observed.
+/// Builds [`CorpusStats`] from any sequence of programs, borrowed or owned,
+/// without materialising it. Returns the merged database and the number of
+/// projects observed. Equals `CorpusStats::build` exactly, for every shard
+/// count.
 pub fn build_stats_streaming<I>(
     projects: I,
     kb: &KnowledgeBase,
@@ -176,16 +159,13 @@ pub fn build_stats_streaming<I>(
     cfg: &ShardConfig,
 ) -> (CorpusStats, usize)
 where
-    I: Iterator<Item = Program>,
+    I: IntoIterator,
+    I::Item: Borrow<Program> + Send,
 {
     build_stats_streaming_obs(projects, kb, use_kb, cfg, &Obs::null())
 }
 
-/// [`build_stats_streaming`] with per-shard spans and merge timing. The
-/// calling thread drives the iterator (corpus generation is sequential per
-/// seed) and feeds project batches through a bounded channel; `cfg.shards`
-/// workers pull batches as they free up. Bounded capacity keeps at most
-/// `2 × shards` batches in flight, which is what caps peak memory.
+/// [`build_stats_streaming`] with per-shard spans and merge timing.
 pub fn build_stats_streaming_obs<I>(
     projects: I,
     kb: &KnowledgeBase,
@@ -194,101 +174,37 @@ pub fn build_stats_streaming_obs<I>(
     obs: &Obs,
 ) -> (CorpusStats, usize)
 where
-    I: Iterator<Item = Program>,
+    I: IntoIterator,
+    I::Item: Borrow<Program> + Send,
 {
-    let shards = cfg.shards.max(1);
-    let batch = cfg.batch.max(1);
-    if shards == 1 {
-        let mut stats = CorpusStats::default();
+    let per_shard = fan_out(projects, cfg.shards, MINING_BATCH, |shard, projects| {
+        let span = shard.map(|shard| {
+            let mut span = obs.start_leaf_span("pipeline/mining/stats/shard");
+            span.attr("shard", shard);
+            span
+        });
+        let mut local = CorpusStats::default();
         let mut arena = FlattenArena::default();
         let mut observed = 0usize;
         for p in projects {
-            stats.observe_program_with(&p, kb, use_kb, &mut arena);
+            local.observe_program_with(p.borrow(), kb, use_kb, &mut arena);
             observed += 1;
         }
-        return (stats, observed);
-    }
-    let (tx, rx) = crossbeam::channel::bounded::<Vec<Program>>(shards * 2);
-    let mut observed = 0usize;
-    let shard_stats: Vec<CorpusStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|shard| {
-                let rx = rx.clone();
-                scope.spawn(move || {
-                    let mut span = obs.start_leaf_span("pipeline/mining/stats/shard");
-                    span.attr("shard", shard);
-                    let mut local = CorpusStats::default();
-                    let mut arena = FlattenArena::default();
-                    let mut seen = 0usize;
-                    while let Ok(batch) = rx.recv() {
-                        for p in &batch {
-                            local.observe_program_with(p, kb, use_kb, &mut arena);
-                        }
-                        seen += batch.len();
-                    }
-                    span.attr("projects", seen);
-                    span.finish();
-                    local
-                })
-            })
-            .collect();
-        // The scope thread is the producer; dropping its receiver clone
-        // first means worker `recv` errors exactly when the stream ends.
-        drop(rx);
-        let mut buf = Vec::with_capacity(batch);
-        for p in projects {
-            observed += 1;
-            buf.push(p);
-            if buf.len() == batch && tx.send(std::mem::take(&mut buf)).is_err() {
-                break; // workers gone: a panic is surfacing via join below
-            }
+        if let Some(mut span) = span {
+            span.attr("projects", observed);
+            span.finish();
         }
-        if !buf.is_empty() {
-            let _ = tx.send(buf);
-        }
-        drop(tx);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
+        (local, observed)
     });
-    (merge_shards(shard_stats, obs), observed)
+    let observed = per_shard.iter().map(|(_, n)| n).sum();
+    let stats = per_shard.into_iter().map(|(s, _)| s).collect();
+    (merge_shards(stats, obs), observed)
 }
 
-/// Full mining over a materialised corpus with sharded observation.
-/// Byte-identical to [`crate::mine`] for every shard count.
-pub fn mine_sharded(
-    programs: &[Program],
-    kb: &KnowledgeBase,
-    cfg: &MiningConfig,
-    shard: &ShardConfig,
-) -> MiningReport {
-    mine_sharded_obs(programs, kb, cfg, shard, &Obs::null())
-}
-
-/// [`mine_sharded`] with an observability handle.
-pub fn mine_sharded_obs(
-    programs: &[Program],
-    kb: &KnowledgeBase,
-    cfg: &MiningConfig,
-    shard: &ShardConfig,
-    obs: &Obs,
-) -> MiningReport {
-    let t0 = std::time::Instant::now();
-    let _span = obs.start_span("pipeline/mining");
-    let stats_span = obs.start_span("pipeline/mining/stats");
-    let stats = build_stats_sharded_obs(programs, kb, cfg.use_kb, shard, obs);
-    stats_span.finish();
-    let report = crate::mine_stats_inner(&stats, kb, cfg, obs, None);
-    // Serving-boundary latency: one whole mining pass, visible in rolling
-    // windows (`op.mine.us`) when a RollingRecorder sink is attached.
-    obs.histogram("op.mine.us", t0.elapsed().as_micros() as u64);
-    report
-}
-
-/// Full mining over a project stream: observation never materialises the
-/// corpus. Returns the report plus the number of projects streamed.
-/// Byte-identical to [`crate::mine`] over the collected stream.
+/// Full mining over any sequence of programs, borrowed or owned: observation
+/// never materialises the corpus. Returns the report plus the number of
+/// projects observed. Byte-identical to [`crate::mine`] over the collected
+/// sequence, for every shard count.
 pub fn mine_streaming<I>(
     projects: I,
     kb: &KnowledgeBase,
@@ -296,12 +212,15 @@ pub fn mine_streaming<I>(
     shard: &ShardConfig,
 ) -> (MiningReport, usize)
 where
-    I: Iterator<Item = Program>,
+    I: IntoIterator,
+    I::Item: Borrow<Program> + Send,
 {
     mine_streaming_obs(projects, kb, cfg, shard, &Obs::null())
 }
 
-/// [`mine_streaming`] with an observability handle.
+/// [`mine_streaming`] with an observability handle: `pipeline/mining/*`
+/// stage spans, `mining.*` funnel counters, and the whole pass's latency
+/// in `op.mine.us`.
 pub fn mine_streaming_obs<I>(
     projects: I,
     kb: &KnowledgeBase,
@@ -310,14 +229,17 @@ pub fn mine_streaming_obs<I>(
     obs: &Obs,
 ) -> (MiningReport, usize)
 where
-    I: Iterator<Item = Program>,
+    I: IntoIterator,
+    I::Item: Borrow<Program> + Send,
 {
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let _span = obs.start_span("pipeline/mining");
     let stats_span = obs.start_span("pipeline/mining/stats");
     let (stats, observed) = build_stats_streaming_obs(projects, kb, cfg.use_kb, shard, obs);
     stats_span.finish();
     let report = crate::mine_stats_inner(&stats, kb, cfg, obs, None);
+    // Serving-boundary latency: one whole mining pass, visible in rolling
+    // windows (`op.mine.us`) when a RollingRecorder sink is attached.
     obs.histogram("op.mine.us", t0.elapsed().as_micros() as u64);
     (report, observed)
 }
@@ -325,6 +247,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
     use zodiac_model::Resource;
 
     fn corpus(n: usize) -> Vec<Program> {
@@ -348,8 +272,9 @@ mod tests {
         let programs = corpus(50);
         let mono = CorpusStats::build(&programs, &kb, true);
         for shards in [1, 2, 3, 8] {
-            let cfg = ShardConfig { shards, batch: 7 };
-            let sharded = build_stats_sharded(&programs, &kb, true, &cfg);
+            let cfg = ShardConfig::with_shards(shards);
+            let (sharded, n) = build_stats_streaming(&programs, &kb, true, &cfg);
+            assert_eq!(n, programs.len());
             assert_eq!(sharded, mono, "{shards} shards diverge");
             let (streamed, n) = build_stats_streaming(programs.iter().cloned(), &kb, true, &cfg);
             assert_eq!(n, programs.len());
@@ -358,20 +283,47 @@ mod tests {
     }
 
     #[test]
+    fn a_small_input_reaches_every_worker() {
+        // Each worker holds its first item until every worker has one (or
+        // the timeout passes). A waiting worker cannot draw another
+        // message, so this passes only if the input went out in at least
+        // one message per worker.
+        let shards = 4;
+        let arrived = (Mutex::new(0usize), Condvar::new());
+        let per_worker = fan_out(0..32, shards, MINING_BATCH, |_, items| {
+            let mut seen = 0usize;
+            for _ in items {
+                if seen == 0 {
+                    let (count, all_in) = &arrived;
+                    let mut count = count.lock().unwrap();
+                    *count += 1;
+                    all_in.notify_all();
+                    let timeout = Duration::from_secs(10);
+                    drop(all_in.wait_timeout_while(count, timeout, |n| *n < shards));
+                }
+                seen += 1;
+            }
+            seen
+        });
+        assert_eq!(per_worker, vec![8; 4]);
+    }
+
+    #[test]
     fn empty_and_tiny_corpora() {
         let kb = zodiac_kb::azure_kb();
         let cfg = ShardConfig::with_shards(4);
+        let none: &[Program] = &[];
         assert_eq!(
-            build_stats_sharded(&[], &kb, true, &cfg),
-            CorpusStats::default()
+            build_stats_streaming(none, &kb, true, &cfg),
+            (CorpusStats::default(), 0)
         );
-        let (stats, n) = build_stats_streaming(std::iter::empty(), &kb, true, &cfg);
+        let (stats, n) = build_stats_streaming(std::iter::empty::<Program>(), &kb, true, &cfg);
         assert_eq!(n, 0);
         assert_eq!(stats, CorpusStats::default());
         let one = corpus(1);
         assert_eq!(
-            build_stats_sharded(&one, &kb, true, &cfg),
-            CorpusStats::build(&one, &kb, true)
+            build_stats_streaming(&one, &kb, true, &cfg),
+            (CorpusStats::build(&one, &kb, true), 1)
         );
     }
 }

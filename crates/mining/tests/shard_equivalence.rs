@@ -1,7 +1,7 @@
 //! Differential pinning of shard-parallel mining (ISSUE 9).
 //!
 //! The shard driver's whole contract is *invisibility*: any shard count,
-//! batch size, scheduling interleaving, or merge order must produce an
+//! input kind, scheduling interleaving, or merge order must produce an
 //! observation database — and therefore a mined check set — identical to
 //! the monolithic [`CorpusStats::build`]. These tests pin that contract
 //! differentially across seeds × shard counts (including a prime count
@@ -14,8 +14,7 @@
 use zodiac_corpus::{generate, CorpusConfig, ProjectStream};
 use zodiac_mining::stats::FlattenArena;
 use zodiac_mining::{
-    build_stats_sharded, build_stats_streaming, mine, mine_sharded, mine_streaming, CorpusStats,
-    MinedCheck, MiningConfig, ShardConfig,
+    build_stats_streaming, mine, mine_streaming, CorpusStats, MinedCheck, MiningConfig, ShardConfig,
 };
 use zodiac_model::Program;
 
@@ -59,10 +58,8 @@ fn sharded_and_streaming_stats_equal_monolithic_across_seeds() {
         let programs = corpus(seed, 90);
         let mono = CorpusStats::build(&programs, &kb, true);
         for shards in SHARD_COUNTS {
-            // A batch size that never divides 90 evenly, to exercise the
-            // ragged final chunk.
-            let cfg = ShardConfig { shards, batch: 7 };
-            let sharded = build_stats_sharded(&programs, &kb, true, &cfg);
+            let cfg = ShardConfig::with_shards(shards);
+            let (sharded, _) = build_stats_streaming(&programs, &kb, true, &cfg);
             assert_eq!(
                 sharded, mono,
                 "seed {seed}: {shards}-shard build diverges from monolithic"
@@ -89,8 +86,8 @@ fn sharded_and_streaming_mining_yield_byte_identical_check_sets() {
             "seed {seed}: baseline mined nothing — the comparison is vacuous"
         );
         for shards in SHARD_COUNTS {
-            let cfg = ShardConfig { shards, batch: 11 };
-            let sharded = mine_sharded(&programs, &kb, &mcfg, &cfg);
+            let cfg = ShardConfig::with_shards(shards);
+            let (sharded, _) = mine_streaming(&programs, &kb, &mcfg, &cfg);
             assert_eq!(
                 render(&sharded.checks),
                 baseline,
@@ -122,15 +119,7 @@ fn project_stream_feeds_mining_identically_to_generate() {
     let mcfg = MiningConfig::default();
     let baseline = render(&mine(&materialised, &kb, &mcfg).checks);
     let stream = ProjectStream::new(&ccfg).map(|p| p.program);
-    let (report, n) = mine_streaming(
-        stream,
-        &kb,
-        &mcfg,
-        &ShardConfig {
-            shards: 3,
-            batch: 8,
-        },
-    );
+    let (report, n) = mine_streaming(stream, &kb, &mcfg, &ShardConfig::with_shards(3));
     assert_eq!(n, 60);
     assert_eq!(render(&report.checks), baseline);
 }

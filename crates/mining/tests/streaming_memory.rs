@@ -37,11 +37,8 @@ fn streaming_mine_of_10k_projects_stays_under_peak_heap_budget() {
         ..Default::default()
     };
     // Two shards exercises the bounded-channel path (producer + workers);
-    // the in-flight window is shards × 2 batches.
-    let shard = ShardConfig {
-        shards: 2,
-        batch: 32,
-    };
+    // the in-flight window is shards × 2 messages.
+    let shard = ShardConfig::with_shards(2);
     let baseline = ALLOC.reset_peak();
     let stream = ProjectStream::new(&cfg).map(|p| p.program);
     let (stats, observed) = build_stats_streaming(stream, &kb, true, &shard);

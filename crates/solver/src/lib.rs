@@ -24,12 +24,11 @@
 //!
 //! Mutation encodings for the same candidate differ between scheduler
 //! iterations only in the soft-constraint set (demoted checks drop out,
-//! weights shift) while variables and hard constraints stay put. The delta
-//! API exploits this: [`Problem::delta_from`] classifies how a problem
-//! differs from a previously solved one, [`Problem::seed_bound`] turns the
-//! previous model into a feasible penalty upper bound for the new problem,
-//! and [`solve_with_bound`] uses that bound for strictly-better pruning —
-//! returning a result *identical* to a cold [`solve`], just faster.
+//! weights shift) while variables and hard constraints stay put.
+//! [`Problem::seed_bound`] turns a previous model into a feasible penalty
+//! upper bound for the new problem, and [`solve_with_bound`] uses that
+//! bound for strictly-better pruning — returning a result *identical* to a
+//! cold [`solve`], just faster.
 
 mod constraint;
 mod search;
@@ -104,23 +103,6 @@ impl Problem {
         self.node_budget.unwrap_or(2_000_000)
     }
 
-    /// Classifies how this problem differs from a previously solved one.
-    ///
-    /// `Identical` means the old model *is* this problem's answer;
-    /// `Compatible` means the variables are the same, so the old model can
-    /// seed a penalty bound via [`seed_bound`](Problem::seed_bound) when it
-    /// is still feasible; `Incompatible` means no reuse is possible.
-    pub fn delta_from(&self, prev: &Problem) -> Delta {
-        if self.domains != prev.domains {
-            return Delta::Incompatible;
-        }
-        if self.hard == prev.hard && self.soft == prev.soft {
-            Delta::Identical
-        } else {
-            Delta::Compatible
-        }
-    }
-
     /// Validates a previous model against this problem and, when it still
     /// satisfies every hard constraint (and every value is in-domain),
     /// returns its total soft penalty — a feasible upper bound suitable for
@@ -151,45 +133,9 @@ impl Problem {
     }
 }
 
-/// The relationship between two [`Problem`]s, as seen by
-/// [`Problem::delta_from`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delta {
-    /// Same domains and constraints: a previous solution is still optimal.
-    Identical,
-    /// Same domains, different constraints: a previous model can seed the
-    /// search with a penalty bound if it remains feasible.
-    Compatible,
-    /// Different variables or domains: nothing carries over.
-    Incompatible,
-}
-
 #[cfg(test)]
 mod delta_tests {
     use super::*;
-
-    fn base() -> Problem {
-        let mut p = Problem::new();
-        let x = p.add_var(vec![Value::Int(0), Value::Int(1)]);
-        p.require(Constraint::ne(Term::Var(x), Term::i(0)));
-        p.prefer(Constraint::eq(Term::Var(x), Term::i(0)), 1);
-        p
-    }
-
-    #[test]
-    fn delta_classification() {
-        let a = base();
-        let b = base();
-        assert_eq!(b.delta_from(&a), Delta::Identical);
-
-        let mut c = base();
-        c.prefer(Constraint::eq(Term::Var(0), Term::i(1)), 2);
-        assert_eq!(c.delta_from(&a), Delta::Compatible);
-
-        let mut d = base();
-        d.add_var(vec![Value::Int(9)]);
-        assert_eq!(d.delta_from(&a), Delta::Incompatible);
-    }
 
     #[test]
     fn seed_bound_totals_ground_softs() {

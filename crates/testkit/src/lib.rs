@@ -42,9 +42,9 @@
 //!    present in the original program and never trips the deceptive-fix
 //!    detector (scope narrowing, dropped references or attributes the
 //!    violated checks do not mention).
-//! 10. **Shard invariance** — mining with a random shard count and batch
-//!     size, over the materialised corpus and over a stream of it,
-//!     reproduces the 1-shard candidate list byte-for-byte.
+//! 10. **Shard invariance** — mining with a random shard count, over the
+//!     materialised corpus and over a stream of it, reproduces the 1-shard
+//!     candidate list byte-for-byte.
 //! 11. **Evaluator short-circuit** — over generated and mined checks
 //!     crossed with generated graphs, the evaluator's early-exit queries
 //!     agree with its full instance list: `holds` is true exactly when no

@@ -270,10 +270,7 @@ pub(crate) fn run_episode(
     // float bit. This is the fuzzing face of the exact integer-counter
     // shard merge (`CorpusStats::merge_from`).
     report.tally("shard-invariance", 1);
-    let shard_cfg = zodiac_mining::ShardConfig {
-        shards: rng.gen_range(2..=9),
-        batch: rng.gen_range(1..=16),
-    };
+    let shard_cfg = zodiac_mining::ShardConfig::with_shards(rng.gen_range(2..=9));
     let fingerprint = |checks: &[zodiac_mining::MinedCheck]| -> Vec<String> {
         checks
             .iter()
@@ -290,7 +287,8 @@ pub(crate) fn run_episode(
             .collect()
     };
     let baseline_fp = fingerprint(&mining.checks);
-    let sharded = zodiac_mining::mine_sharded(&corpus, &kb, &MiningConfig::default(), &shard_cfg);
+    let (sharded, _) =
+        zodiac_mining::mine_streaming(&corpus, &kb, &MiningConfig::default(), &shard_cfg);
     let (streamed, streamed_n) = zodiac_mining::mine_streaming(
         corpus.iter().cloned(),
         &kb,
@@ -315,11 +313,10 @@ pub(crate) fn run_episode(
             episode: ep,
             replay_seed: episode_seed,
             detail: format!(
-                "{mode} mine with {} shards (batch {}) diverges from the 1-shard candidate list\n\
+                "{mode} mine with {} shards diverges from the 1-shard candidate list\n\
                  only 1-shard ({}): {:?}\n\
                  only sharded ({}): {:?}",
                 shard_cfg.shards,
-                shard_cfg.batch,
                 only_base.len(),
                 only_base,
                 only_shard.len(),

@@ -27,17 +27,20 @@ cargo test --benches -q --locked
 # both paths regressing together.
 ./target/release/obs_smoke --rounds 40 --max-overhead-pct 5 --ceiling-ms 3
 
-# Scale smoke: shard-parallel streaming mining must stay shard-invariant —
-# a 10k-project streaming mine with every core must print the same
-# check_set_hash as a 1-shard run — and 600-project mining throughput must
-# clear the projects/sec floor recorded in BENCH_mining_scale.json.
-scale_one=$(./target/release/scale_smoke --projects 10000 --stream)
-scale_all=$(./target/release/scale_smoke --projects 10000 --stream --shards "$(nproc)")
-echo "$scale_one"; echo "$scale_all"
-h1=$(echo "$scale_one" | sed -n 's/.*"check_set_hash":"\([0-9a-f]*\)".*/\1/p')
-h2=$(echo "$scale_all" | sed -n 's/.*"check_set_hash":"\([0-9a-f]*\)".*/\1/p')
-[ -n "$h1" ] && [ "$h1" = "$h2" ] \
-  || { echo "scale smoke: sharded check set diverges from 1-shard ($h1 vs $h2)"; exit 1; }
+# Scale smoke: shard-parallel mining must stay shard-invariant — a
+# 10k-project mine with every core must print the same check_set_hash as a
+# 1-shard run, over a materialised corpus and over a stream — and
+# 600-project mining throughput must clear the projects/sec floor recorded
+# in BENCH_mining_scale.json.
+for mode in "" --stream; do
+  scale_one=$(./target/release/scale_smoke --projects 10000 $mode)
+  scale_all=$(./target/release/scale_smoke --projects 10000 $mode --shards "$(nproc)")
+  echo "$scale_one"; echo "$scale_all"
+  h1=$(echo "$scale_one" | sed -n 's/.*"check_set_hash":"\([0-9a-f]*\)".*/\1/p')
+  h2=$(echo "$scale_all" | sed -n 's/.*"check_set_hash":"\([0-9a-f]*\)".*/\1/p')
+  [ -n "$h1" ] && [ "$h1" = "$h2" ] \
+    || { echo "scale smoke: sharded check set diverges from 1-shard ($mode: $h1 vs $h2)"; exit 1; }
+done
 pps_floor=$(sed -n 's/.*"mining\/scale-600-pps": \([0-9.]*\).*/\1/p' BENCH_mining_scale.json)
 [ -n "$pps_floor" ] \
   || { echo "scale smoke: no 600-tier pps floor in BENCH_mining_scale.json"; exit 1; }
