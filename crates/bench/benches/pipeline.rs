@@ -58,24 +58,6 @@ fn bench_validation(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    // Ablation reference: waves off, one candidate at a time, incremental
-    // solving kept. On the CPU-bound simulator this lands within noise of
-    // the wave path (an apply costs CPU proportional to batch size, so
-    // batching saves round-trips, not cycles); the gap widens on
-    // latency-bound backends. See BENCH_pipeline.json notes.
-    c.bench_function("validation/schedule-60-sequential", |b| {
-        b.iter_batched(
-            || mining.checks.clone(),
-            |checks| {
-                let cfg = SchedulerConfig {
-                    wave_parallel: false,
-                    ..SchedulerConfig::default()
-                };
-                Scheduler::new(&sim, &kb, &corpus, cfg).run(checks)
-            },
-            BatchSize::SmallInput,
-        )
-    });
     // Wave-parallel through the worker-pool engine (4 deploy workers):
     // what `zodiac mine --deploy-workers 4` pays per scheduling pass.
     c.bench_function("validation/schedule-60-workers-4", |b| {

@@ -2,8 +2,7 @@
 //! the CI pipeline-bench smoke gate (`scripts/ci.sh` fails the build when
 //! the wall time exceeds the ratcheted ceiling).
 //!
-//! Usage: `schedule_smoke [--ceiling-ms N] [--runs N] [--sequential]
-//! [--projects N]`
+//! Usage: `schedule_smoke [--ceiling-ms N] [--runs N] [--projects N]`
 //!
 //! Prints one JSON line: `{"bench":"validation/schedule-60-projects",
 //! "runs":N,"best_ms":…,"mean_ms":…,"validated":…,"ceiling_ms":…}` and
@@ -21,7 +20,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut ceiling_ms: Option<u128> = None;
     let mut runs: usize = 1;
-    let mut sequential = false;
     let mut projects: usize = 60;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -32,7 +30,6 @@ fn main() {
             "--runs" => {
                 runs = it.next().and_then(|v| v.parse().ok()).unwrap_or(1).max(1);
             }
-            "--sequential" => sequential = true,
             "--projects" => {
                 projects = it.next().and_then(|v| v.parse().ok()).unwrap_or(60).max(1);
             }
@@ -59,12 +56,8 @@ fn main() {
     let mut validated = 0usize;
     for _ in 0..runs {
         let checks = mining.checks.clone();
-        let cfg = SchedulerConfig {
-            wave_parallel: !sequential,
-            ..SchedulerConfig::default()
-        };
         let start = Instant::now();
-        let scheduler = Scheduler::new(&sim, &kb, &corpus, cfg);
+        let scheduler = Scheduler::new(&sim, &kb, &corpus, SchedulerConfig::default());
         let outcome = scheduler.run(checks);
         times.push(start.elapsed().as_millis());
         validated = outcome.validated.len();

@@ -368,7 +368,7 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
         .transpose()?
         .unwrap_or(300);
     let seed: u64 = take_flag(&mut args, "--seed")
-        .map(|v| v.parse().map_err(|_| "--seed expects a number".to_string()))
+        .map(|v| parse_seed(&v))
         .transpose()?
         .unwrap_or(0xC0FFEE);
     let out = take_flag(&mut args, "--out").ok_or("mine requires --out FILE")?;
@@ -1405,5 +1405,17 @@ fn render_top_frame(socket: &str, resp: &serde_json::Value, out: &mut String) {
         for line in slow_lines {
             let _ = writeln!(out, "{line}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn seeds_parse_in_hex_and_decimal() {
+        assert_eq!(parse_seed("0xC0FFEE"), parse_seed("12648430"));
+        assert_eq!(parse_seed("0xC0FFEE"), Ok(0xC0FFEE));
+        assert!(parse_seed("coffee").is_err());
     }
 }

@@ -680,6 +680,17 @@ mod tests {
         );
     }
 
+    /// Older traces hold span lines with neither id nor timestamp; no
+    /// writer emits them any more, but their files still load.
+    #[test]
+    fn parses_identity_less_span_lines() {
+        let trace = Trace::parse("{\"event\":\"span\",\"path\":\"pipeline/mining\",\"us\":40}\n");
+        assert_eq!(trace.schema, 0);
+        let span = &trace.spans[0];
+        assert_eq!((span.id, span.parent, span.ts_us), (0, 0, 0));
+        assert_eq!((span.path.as_str(), span.dur_us), ("pipeline/mining", 40));
+    }
+
     #[test]
     fn ledger_reconstructs_one_candidate_in_order() {
         let trace = Trace::parse(SAMPLE);

@@ -81,15 +81,6 @@ impl Recorder for JsonLinesSink {
     fn gauge_max(&self, _name: &str, _observed: u64) {}
     fn histogram(&self, _name: &str, _value: u64) {}
 
-    fn span(&self, path: &str, micros: u64) {
-        // Legacy duration-only entry point (no identity available).
-        let mut line = String::with_capacity(48 + path.len());
-        line.push_str("{\"event\":\"span\",\"path\":\"");
-        escape_json(path, &mut line);
-        let _ = write!(line, "\",\"us\":{micros}}}");
-        self.write_line(&line);
-    }
-
     fn span_record(&self, rec: &SpanRecord<'_>) {
         let mut line = String::with_capacity(96 + rec.path.len());
         let _ = write!(line, "{{\"event\":\"span\",\"id\":{}", rec.id);
@@ -255,7 +246,15 @@ mod tests {
     fn span_paths_are_escaped() {
         let buf = SharedBuf::default();
         let sink = JsonLinesSink::new(Box::new(buf.clone()));
-        sink.span("weird\"path\\x", 1);
+        sink.span_record(&SpanRecord {
+            id: 1,
+            parent: 0,
+            tid: 1,
+            path: "weird\"path\\x",
+            ts_us: 0,
+            dur_us: 1,
+            attrs: &[],
+        });
         sink.flush().expect("flush");
         let text = buf.contents();
         let line = text.lines().nth(1).expect("span line");

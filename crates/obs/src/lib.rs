@@ -181,17 +181,10 @@ pub trait Recorder: Send + Sync {
     fn gauge_max(&self, name: &str, observed: u64);
     /// Records one observation of `value` into the histogram `name`.
     fn histogram(&self, name: &str, value: u64);
-    /// Records a completed stage span: `path` per the naming convention,
-    /// `micros` of monotonic elapsed time. Kept for sinks that only care
-    /// about durations; structured sinks should override
-    /// [`Recorder::span_record`] instead.
-    fn span(&self, path: &str, micros: u64);
     /// Records a completed structured span (identity, parent link, thread,
-    /// timestamps, attributes). Defaults to forwarding the duration to
-    /// [`Recorder::span`], so aggregate-only sinks need no changes.
-    fn span_record(&self, rec: &SpanRecord<'_>) {
-        self.span(rec.path, rec.dur_us);
-    }
+    /// timestamps, attributes). `path` follows the naming convention and
+    /// `dur_us` is monotonic elapsed time; aggregate sinks read only those.
+    fn span_record(&self, rec: &SpanRecord<'_>);
     /// Records a per-candidate lifecycle event. Defaults to a no-op so
     /// aggregate-only sinks ignore provenance.
     fn lifecycle(&self, _event: &CandidateEvent) {}
@@ -331,13 +324,6 @@ impl Obs {
         }
     }
 
-    /// Records an already-measured span (duration only, no identity).
-    pub fn span(&self, path: &str, micros: u64) {
-        for s in self.sinks.iter() {
-            s.span(path, micros);
-        }
-    }
-
     /// Emits a per-candidate lifecycle event keyed by check fingerprint.
     /// The event timestamp is stamped from the trace epoch. Free on a
     /// disabled handle, but callers should still gate payload construction
@@ -413,9 +399,6 @@ impl Recorder for Obs {
     }
     fn histogram(&self, name: &str, value: u64) {
         Obs::histogram(self, name, value);
-    }
-    fn span(&self, path: &str, micros: u64) {
-        Obs::span(self, path, micros);
     }
     fn span_record(&self, rec: &SpanRecord<'_>) {
         for s in self.sinks.iter() {
@@ -580,7 +563,6 @@ mod tests {
         fn gauge_set(&self, _: &str, _: u64) {}
         fn gauge_max(&self, _: &str, _: u64) {}
         fn histogram(&self, _: &str, _: u64) {}
-        fn span(&self, _: &str, _: u64) {}
         fn span_record(&self, rec: &SpanRecord<'_>) {
             self.spans
                 .lock()

@@ -1,7 +1,7 @@
 //! The in-memory metric registry.
 
 use crate::snapshot::{HistogramSummary, MetricsSnapshot};
-use crate::{CandidateEvent, Recorder};
+use crate::{CandidateEvent, Recorder, SpanRecord};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -233,8 +233,8 @@ impl Recorder for MemoryRecorder {
         self.histograms.with(name, |h| h.record(value));
     }
 
-    fn span(&self, path: &str, micros: u64) {
-        with_name_buf("span.", path, |name| self.histogram(name, micros));
+    fn span_record(&self, rec: &SpanRecord<'_>) {
+        with_name_buf("span.", rec.path, |name| self.histogram(name, rec.dur_us));
     }
 
     fn lifecycle(&self, event: &CandidateEvent) {

@@ -29,7 +29,7 @@
 
 use crate::clock::Clock;
 use crate::registry::{bucket_of, bucket_quantile, BUCKETS};
-use crate::{escape_json, CandidateEvent, Recorder};
+use crate::{escape_json, CandidateEvent, Recorder, SpanRecord};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -441,7 +441,7 @@ impl Recorder for RollingRecorder {
         }
     }
 
-    fn span(&self, _path: &str, _micros: u64) {}
+    fn span_record(&self, _rec: &SpanRecord<'_>) {}
 
     fn lifecycle(&self, _event: &CandidateEvent) {}
 }

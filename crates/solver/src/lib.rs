@@ -20,15 +20,13 @@
 //! best solution found so far (and never spuriously reporting UNSAT: the
 //! budget only kicks in after a first solution exists).
 //!
-//! # Incremental re-solving
+//! # Seeded re-solving
 //!
-//! Mutation encodings for the same candidate differ between scheduler
-//! iterations only in the soft-constraint set (demoted checks drop out,
-//! weights shift) while variables and hard constraints stay put.
-//! [`Problem::seed_bound`] turns a previous model into a feasible penalty
-//! upper bound for the new problem, and [`solve_with_bound`] uses that
-//! bound for strictly-better pruning — returning a result *identical* to a
-//! cold [`solve`], just faster.
+//! Repair solves a relaxed problem first, then the full one over the same
+//! variables. [`Problem::seed_bound`] turns the earlier model into a
+//! feasible penalty upper bound for the new problem, and
+//! [`solve_with_bound`] uses that bound for strictly-better pruning —
+//! returning a result *identical* to a cold [`solve`], just faster.
 
 mod constraint;
 mod search;

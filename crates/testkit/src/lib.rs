@@ -25,32 +25,30 @@
 //! 5. **Print/parse round-trip** — every mined and generated check
 //!    re-parses to an identical IR value (the property that catches the
 //!    historical literal-escaping bug).
-//! 6. **Schedule equivalence** — the wave-parallel scheduler (the default
-//!    pipeline path: conflict-graph waves, batched deploys, incremental
-//!    solving) reaches verdicts set-identical to one-candidate-at-a-time
-//!    sequential scheduling: the same validated, falsified, and unresolved
-//!    candidate sets. Falsification *reasons* may differ — a batched probe
-//!    can trip a different ground-truth rule first — so reasons are
-//!    deliberately excluded from the comparison.
-//! 7. **Repair soundness** — every repair `zodiac-repair` *accepts* against
+//! 6. **Repair soundness** — every repair `zodiac-repair` *accepts* against
 //!    the episode's surviving checks yields a program that violates none of
 //!    them and still deploys on [`CloudSim`](zodiac_cloud::CloudSim).
-//! 8. **Repair minimality** — no strict subset of an accepted repair's
+//! 7. **Repair minimality** — no strict subset of an accepted repair's
 //!    edits clears all three oracle layers (deploy-succeeds, checks-pass,
 //!    intent-preserved).
-//! 9. **Repair intent** — an accepted repair never deletes a resource
+//! 8. **Repair intent** — an accepted repair never deletes a resource
 //!    present in the original program and never trips the deceptive-fix
 //!    detector (scope narrowing, dropped references or attributes the
 //!    violated checks do not mention).
-//! 10. **Shard invariance** — mining with a random shard count, over the
-//!     materialised corpus and over a stream of it, reproduces the 1-shard
-//!     candidate list byte-for-byte.
-//! 11. **Evaluator short-circuit** — over generated and mined checks
+//! 9. **Shard invariance** — mining with a random shard count, over the
+//!    materialised corpus and over a stream of it, reproduces the 1-shard
+//!    candidate list byte-for-byte.
+//! 10. **Evaluator short-circuit** — over generated and mined checks
 //!     crossed with generated graphs, the evaluator's early-exit queries
 //!     agree with its full instance list: `holds` is true exactly when no
 //!     instance is a violation, `first_witness` is the first witnessing
 //!     instance, and `violations` is the instance list filtered to
 //!     violations, in the same order.
+//!
+//! The wave scheduler's equivalence to one-candidate-at-a-time validation
+//! is not a fuzz property: `zodiac-validation` checks it against a
+//! test-only reference loop, on this fuzzer's own episode corpora among
+//! others.
 //!
 //! Failures shrink deterministically ([`shrink`]) and the whole report is
 //! a pure function of `(seed, cases)` — byte-identical across runs — so a
@@ -88,7 +86,7 @@ pub struct FuzzConfig {
     /// of every mined candidate.
     pub checks_per_episode: usize,
     /// Violating programs repaired per episode for the repair properties
-    /// (7–9). Targets are wild cases that violate a surviving check, topped
+    /// (6–8). Targets are wild cases that violate a surviving check, topped
     /// up with noise-injected corpus programs.
     pub repairs_per_episode: usize,
     /// Optional wall-clock budget: no new episode starts after this many
@@ -119,7 +117,6 @@ pub const PROPERTIES: &[&str] = &[
     "permutation-stability",
     "corpus-monotonicity",
     "print-parse-roundtrip",
-    "schedule-equivalence",
     "repair-soundness",
     "repair-minimality",
     "repair-intent",

@@ -179,63 +179,6 @@ pub(crate) fn run_episode(
         });
     }
 
-    // --- P6: schedule equivalence ------------------------------------------
-    // `outcome` above ran the default wave-parallel path (conflict-graph
-    // waves, batched deploys, incremental solving). Re-running the same
-    // candidates one at a time must land every candidate in the same
-    // verdict set. Reasons are excluded: a batched probe may trip a
-    // different ground-truth rule first (benign divergence).
-    report.tally("schedule-equivalence", 1);
-    let sequential = Scheduler::new(
-        &sim,
-        &kb,
-        &corpus,
-        SchedulerConfig {
-            wave_parallel: false,
-            ..SchedulerConfig::default()
-        },
-    )
-    .run(mining.checks.clone());
-    let verdict_sets = |o: &zodiac_validation::ValidationOutcome| -> [BTreeSet<String>; 3] {
-        [
-            o.validated
-                .iter()
-                .map(|v| v.mined.check.canonical())
-                .collect(),
-            o.false_positives
-                .iter()
-                .map(|f| f.mined.check.canonical())
-                .collect(),
-            o.unresolved.iter().map(|m| m.check.canonical()).collect(),
-        ]
-    };
-    let wave_sets = verdict_sets(&outcome);
-    let seq_sets = verdict_sets(&sequential);
-    for (which, (w, s)) in ["validated", "falsified", "unresolved"]
-        .iter()
-        .zip(wave_sets.iter().zip(&seq_sets))
-    {
-        if w == s {
-            continue;
-        }
-        let only_wave: Vec<&String> = w.difference(s).collect();
-        let only_seq: Vec<&String> = s.difference(w).collect();
-        report.fail(FuzzFailure {
-            property: "schedule-equivalence",
-            episode: ep,
-            replay_seed: episode_seed,
-            detail: format!(
-                "{which} set diverges between wave-parallel and sequential scheduling\n\
-                 only wave-parallel ({}): {:?}\n\
-                 only sequential ({}): {:?}",
-                only_wave.len(),
-                only_wave,
-                only_seq.len(),
-                only_seq
-            ),
-        });
-    }
-
     // --- P4: corpus monotonicity -------------------------------------------
     // Self-duplication doubles every support count while keeping confidence
     // and lift bit-identical, so the mined set must not shrink (it may grow:
@@ -263,7 +206,7 @@ pub(crate) fn run_episode(
         });
     }
 
-    // --- P10: shard invariance ---------------------------------------------
+    // --- P9: shard invariance ----------------------------------------------
     // Mining with a random shard count, over both the materialised corpus
     // and a stream of it, must reproduce the 1-shard candidate list
     // byte-for-byte — same checks, same order, same statistics to the last
@@ -349,7 +292,7 @@ pub(crate) fn run_episode(
         });
     }
 
-    // --- P7–P9: repair properties ------------------------------------------
+    // --- P6–P8: repair properties ------------------------------------------
     // Every repair the engine *accepts* against the surviving checks must be
     // sound (violates nothing, still deploys), minimal (no strict subset of
     // its edits clears the oracle stack), and intent-preserving (no deleted
@@ -401,7 +344,7 @@ pub(crate) fn run_episode(
                 continue;
             };
 
-            // P7: soundness of the accepted repair.
+            // P6: soundness of the accepted repair.
             report.tally("repair-soundness", 1);
             if violates_some(repaired) || !sim.deploys_ok(repaired) {
                 report.fail(FuzzFailure {
@@ -427,7 +370,7 @@ pub(crate) fn run_episode(
                         .is_empty()
             };
 
-            // P8: minimality — enumerate strict subsets (edit lists are
+            // P7: minimality — enumerate strict subsets (edit lists are
             // small; the engine's own budget caps them).
             if edits.len() <= MINIMALITY_EDIT_CAP {
                 report.tally("repair-minimality", 1);
@@ -457,7 +400,7 @@ pub(crate) fn run_episode(
                 }
             }
 
-            // P9: intent preservation.
+            // P8: intent preservation.
             report.tally("repair-intent", 1);
             let deleted: Vec<String> = original
                 .resources()
@@ -485,7 +428,7 @@ pub(crate) fn run_episode(
         }
     }
 
-    // --- P11: evaluator short-circuit --------------------------------------
+    // --- P10: evaluator short-circuit --------------------------------------
     // The queries that stop or skip early must answer as the full instance
     // list does, over generated checks and mined candidates crossed with
     // generated graphs. Drawn last, so no other property's inputs move.
@@ -527,7 +470,7 @@ shrunk program ({} of {} resources):
     report.episodes.push(stats);
 }
 
-/// Generated graphs each episode crosses with its checks for P11.
+/// Generated graphs each episode crosses with its checks for P10.
 const EVAL_GRAPHS: usize = 8;
 
 /// How the short-circuiting queries disagree with the full instance list of

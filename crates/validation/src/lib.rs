@@ -21,7 +21,7 @@ pub mod plan;
 pub mod scheduler;
 
 pub use mdc::{find_positive, find_positive_indexed, CorpusIndex, MdcStats, PositiveCase};
-pub use mutate::{MutationConfig, MutationResult, NegativeCase, SolveSeed, SolveStats};
+pub use mutate::{MutationConfig, MutationResult, NegativeCase};
 pub use plan::{plan_waves, PlanCandidate, TypeReach, WavePlan};
 pub use scheduler::{
     FalsifiedCheck, FalsifyReason, Scheduler, SchedulerConfig, ValidatedCheck, ValidationOutcome,

@@ -79,25 +79,6 @@ pub enum MutationResult {
     NotApplicable,
 }
 
-/// Solver models kept from a previous encoding of the same candidate, one
-/// per structural variant (`[reuse-deps, fresh-deps]`). Passed back into
-/// [`negative_test_seeded`], a still-feasible model bounds the next
-/// branch-and-bound from above — pure pruning, identical results.
-#[derive(Debug, Clone, Default)]
-pub struct SolveSeed {
-    /// Full solver assignments per structural variant.
-    pub per_variant: [Option<Vec<Value>>; 2],
-}
-
-/// How re-solves used previous models (`solver.incremental.*` telemetry).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolveStats {
-    /// Solves where a previous model seeded the search with a penalty bound.
-    pub seeded: u64,
-    /// Solves with no usable previous model.
-    pub cold: u64,
-}
-
 /// Generates a negative test case for `target` from a positive case.
 pub fn negative_test(
     target: &Check,
@@ -108,40 +89,13 @@ pub fn negative_test(
     corpus: &[Program],
     cfg: &MutationConfig,
 ) -> MutationResult {
-    negative_test_seeded(target, positive, hard, soft, kb, corpus, cfg, None).0
-}
-
-/// [`negative_test`] with incremental re-solving: `seed` carries the solver
-/// models of a previous encoding of the same candidate, and the returned
-/// [`SolveSeed`] carries this encoding's models for the next call. Seeding
-/// never changes the result — an incompatible or infeasible previous model
-/// is simply ignored ([`Problem::seed_bound`] revalidates it against the
-/// new constraints).
-#[allow(clippy::too_many_arguments)]
-pub fn negative_test_seeded(
-    target: &Check,
-    positive: &PositiveCase,
-    hard: &[Check],
-    soft: &[(Check, u64)],
-    kb: &KnowledgeBase,
-    corpus: &[Program],
-    cfg: &MutationConfig,
-    seed: Option<&SolveSeed>,
-) -> (MutationResult, SolveSeed, SolveStats) {
     // Try structural variants (reuse dependencies first, then fresh clones
     // of the dependencies — the paper's optional virtual resources) and keep
     // the least-disturbing SAT result.
     let mut best: Option<NegativeCase> = None;
     let mut saw_not_applicable = false;
-    let mut out_seed = SolveSeed::default();
-    let mut stats = SolveStats::default();
-    for (variant, fresh_deps) in [false, true].into_iter().enumerate() {
-        let prev = seed.and_then(|s| s.per_variant[variant].as_deref());
-        let (result, model) = negative_test_variant(
-            target, positive, hard, soft, kb, corpus, cfg, fresh_deps, prev, &mut stats,
-        );
-        out_seed.per_variant[variant] = model;
-        match result {
+    for fresh_deps in [false, true] {
+        match negative_test_variant(target, positive, hard, soft, kb, corpus, cfg, fresh_deps) {
             MutationResult::Negative(neg) => {
                 let better = best.as_ref().is_none_or(|b| {
                     (
@@ -169,12 +123,11 @@ pub fn negative_test_seeded(
             MutationResult::Unsat => {}
         }
     }
-    let result = match best {
+    match best {
         Some(neg) => MutationResult::Negative(Box::new(neg)),
         None if saw_not_applicable => MutationResult::NotApplicable,
         None => MutationResult::Unsat,
-    };
-    (result, out_seed, stats)
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -187,9 +140,7 @@ fn negative_test_variant(
     corpus: &[Program],
     cfg: &MutationConfig,
     fresh_deps: bool,
-    prev_model: Option<&[Value]>,
-    stats: &mut SolveStats,
-) -> (MutationResult, Option<Vec<Value>>) {
+) -> MutationResult {
     // ---- structural plan ------------------------------------------------
     let mut program = positive.program.clone();
     let witness_ids: BTreeMap<Symbol, ResourceId> = positive.witness.clone();
@@ -197,8 +148,8 @@ fn negative_test_variant(
     match plan_structure(target, &mut program, &witness_ids, kb, corpus, fresh_deps) {
         PlanOutcome::Ok { added_resources } => added = added_resources,
         PlanOutcome::AttributesOnly => {}
-        PlanOutcome::Impossible => return (MutationResult::Unsat, None),
-        PlanOutcome::NotApplicable => return (MutationResult::NotApplicable, None),
+        PlanOutcome::Impossible => return MutationResult::Unsat,
+        PlanOutcome::NotApplicable => return MutationResult::NotApplicable,
     }
 
     let graph = ResourceGraph::build(program.clone());
@@ -262,7 +213,7 @@ fn negative_test_variant(
         .filter_map(|(&v, id)| graph.node(id).map(|n| (v, n)))
         .collect();
     if witness_nodes.len() != witness_ids.len() {
-        return (MutationResult::NotApplicable, None);
+        return MutationResult::NotApplicable;
     }
     let var_ids: BTreeMap<(ResourceId, Symbol), VarId> =
         vars.iter().map(|(k, (v, _))| (k.clone(), *v)).collect();
@@ -291,24 +242,10 @@ fn negative_test_variant(
     }
 
     // ---- solve and apply --------------------------------------------------
-    // A previous model of this candidate seeds the search with a feasible
-    // penalty bound when it still fits the new encoding (same variables,
-    // hard constraints satisfied) — strict-improvement pruning only, so the
-    // outcome matches a cold solve exactly.
-    let outcome = match prev_model.and_then(|m| problem.seed_bound(m)) {
-        Some(bound) => {
-            stats.seeded += 1;
-            zodiac_solver::solve_with_bound(&problem, Some(bound))
-        }
-        None => {
-            stats.cold += 1;
-            solve(&problem)
-        }
-    };
+    let outcome = solve(&problem);
     let Some(solution) = outcome.solution() else {
-        return (MutationResult::Unsat, None);
+        return MutationResult::Unsat;
     };
-    let model = solution.assignment.clone();
     let mut changed = 0usize;
     for ((rid, _attr), (var, sym)) in &vars {
         let value = &solution.assignment[*var];
@@ -339,19 +276,16 @@ fn negative_test_variant(
         .collect();
     // Sanity: the target must actually be violated now.
     if zodiac_spec::holds(target, final_ctx) {
-        return (MutationResult::Unsat, Some(model));
+        return MutationResult::Unsat;
     }
 
-    (
-        MutationResult::Negative(Box::new(NegativeCase {
-            program,
-            changed_attrs: changed,
-            added_resources: added,
-            violated_soft,
-            violated_hard,
-        })),
-        Some(model),
-    )
+    MutationResult::Negative(Box::new(NegativeCase {
+        program,
+        changed_attrs: changed,
+        added_resources: added,
+        violated_soft,
+        violated_hard,
+    }))
 }
 
 // ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@
 //! The scheduler treats waves as a *speculation* plan: encodings and batch
 //! deploys are computed wave-by-wave, then validated against the exact
 //! sequential timeline and replayed one-by-one on mismatch, so verdicts are
-//! identical to the sequential path by construction (the testkit's sixth
-//! property fuzzes exactly this equivalence).
+//! identical to the one-at-a-time loop by construction (the scheduler's
+//! test-only reference checks exactly this equivalence).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use zodiac_graph::ResourceGraph;

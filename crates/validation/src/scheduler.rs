@@ -18,6 +18,13 @@
 //! Candidates are processed in *evaluation partial order* (O4): checks
 //! anchored on types that deploy earlier are evaluated first, which breaks
 //! reasoning loops among inter-resource checks.
+//!
+//! The false-positive pass runs in conflict-free *waves* ([`crate::plan`]):
+//! wave members are encoded against one speculative snapshot and deployed
+//! as one batch, then the exact one-candidate-at-a-time timeline is
+//! replayed, so every verdict is the one Figure 5's loop reaches. A
+//! test-only copy of that loop (`scheduler/reference.rs`) is the reference
+//! the wave path is checked against.
 
 use crate::mdc::{self, PositiveCase};
 use crate::mutate::{self, MutationConfig, MutationResult};
@@ -46,11 +53,6 @@ pub struct SchedulerConfig {
     pub mutation: MutationConfig,
     /// Maximum corpus programs scanned per positive-case search.
     pub max_scan: usize,
-    /// Plan conflict-free candidate waves and batch their deployments
-    /// (the fast path). Disabling falls back to the one-candidate-at-a-time
-    /// loop; both paths produce identical verdicts, which the testkit's
-    /// sixth property checks on every fuzz episode.
-    pub wave_parallel: bool,
 }
 
 impl Default for SchedulerConfig {
@@ -61,7 +63,6 @@ impl Default for SchedulerConfig {
             max_iterations: 8,
             mutation: MutationConfig::default(),
             max_scan: 400,
-            wave_parallel: true,
         }
     }
 }
@@ -241,55 +242,14 @@ fn relevant_open(
 }
 
 /// A per-candidate negative test shared by the grouping and TP passes, with
-/// its violations resolved to global candidate indices (the soft lists the
-/// two scheduler paths encode against differ — full versus
-/// relevance-reduced — but the violated *sets* are identical, so both
-/// resolve to the same global form).
+/// its violations resolved to global candidate indices (production encodes
+/// relevance-reduced soft lists and the reference full ones, but the
+/// violated *sets* are identical, so both resolve to the same global form).
 struct SharedNegative {
     neg: mutate::NegativeCase,
     /// Open candidates (indices into `rc`, excluding the owner) violated by
     /// the negative program.
     violates: BTreeSet<usize>,
-}
-
-/// Cross-pass, cross-iteration memo of negative-test encodings, keyed by
-/// check fingerprint. A candidate is re-encoded many times per run (FP
-/// pass, shared-negatives pass, next iteration) against slowly changing
-/// hard/soft sets; when the relevant sets are unchanged the stored result
-/// is returned outright, and otherwise the stored solver models seed the
-/// re-solve ([`mutate::negative_test_seeded`]).
-#[derive(Default)]
-struct NegMemo {
-    entries: HashMap<u64, MemoEntry>,
-}
-
-struct MemoEntry {
-    /// Sorted fingerprints of the hard (validated) set encoded against.
-    hard_fps: Vec<u64>,
-    /// Sorted `(fingerprint, weight)` soft-set identity.
-    soft_key: Vec<(u64, u64)>,
-    /// Fingerprint per stored soft position (for remapping `violated_soft`
-    /// onto a caller's ordering of the same set).
-    stored_soft: Vec<u64>,
-    result: MutationResult,
-    seed: mutate::SolveSeed,
-}
-
-/// Rebuilds a memoized result against the caller's ordering of the same
-/// soft set, remapping `violated_soft` positions through fingerprints.
-fn remap_memo(e: &MemoEntry, soft_fps: &[u64]) -> MutationResult {
-    let MutationResult::Negative(neg) = &e.result else {
-        return e.result.clone();
-    };
-    let pos: HashMap<u64, usize> = soft_fps.iter().enumerate().map(|(p, &f)| (f, p)).collect();
-    let mut out = neg.clone();
-    out.violated_soft = neg
-        .violated_soft
-        .iter()
-        .filter_map(|&p| e.stored_soft.get(p).and_then(|f| pos.get(f)).copied())
-        .collect();
-    out.violated_soft.sort_unstable();
-    MutationResult::Negative(out)
 }
 
 /// The wave planner's view of a candidate. `present` seeds the mutant
@@ -357,33 +317,12 @@ impl<'a, D: DeployOracle> Scheduler<'a, D> {
     /// Runs validation to completion (Figure 5).
     pub fn run(&self, candidates: Vec<MinedCheck>) -> ValidationOutcome {
         let t0 = std::time::Instant::now();
-        let depths = type_depths(self.kb);
-        let mut rc: Vec<Candidate> = candidates
-            .into_iter()
-            .map(|mined| {
-                let order = check_order(&mined.check, &depths);
-                let fp = mined.check.fingerprint();
-                Candidate {
-                    mined,
-                    positive: None,
-                    order,
-                    fp,
-                }
-            })
-            .collect();
-        if self.cfg.use_partial_order {
-            // O4, with the fingerprint as tie-break: a canonical total order
-            // shared with the wave planner, so the sequential and
-            // wave-parallel paths walk the same timeline.
-            rc.sort_by_key(|c| (c.order, c.fp));
-        }
+        let mut rc = self.candidates(candidates);
 
-        // Shared per-run machinery: prebuilt corpus graphs, the type
-        // reachability relation behind wave planning and soft-set reduction,
-        // and the cross-iteration negative-test memo.
+        // Shared per-run machinery: prebuilt corpus graphs and the type
+        // reachability relation behind wave planning and soft-set reduction.
         let index = mdc::CorpusIndex::build(self.corpus);
         let reach = plan::TypeReach::build(self.kb, index.graphs().iter());
-        let mut memo = NegMemo::default();
         let mut waves_done: u64 = 0;
 
         let mut validated: Vec<ValidatedCheck> = Vec::new();
@@ -413,168 +352,29 @@ impl<'a, D: DeployOracle> Scheduler<'a, D> {
 
             // The validated (hard) set is frozen for the whole iteration.
             let hard: Vec<Check> = validated.iter().map(|v| v.mined.check.clone()).collect();
-            let mut hard_fps: Vec<u64> = hard.iter().map(|c| c.fingerprint()).collect();
-            hard_fps.sort_unstable();
 
             // ---------------- false positive removal pass -----------------
-            let removed = if self.cfg.wave_parallel {
-                self.fp_pass_waves(
-                    &mut rc,
-                    &hard,
-                    &hard_fps,
-                    &mut false_positives,
-                    &mut stats,
-                    &index,
-                    &reach,
-                    &mut memo,
-                    &mut waves_done,
-                )
-            } else {
-                self.fp_pass_sequential(
-                    &mut rc,
-                    &hard,
-                    &mut false_positives,
-                    &mut stats,
-                    iter,
-                    &index,
-                )
-            };
+            let removed = self.fp_pass_waves(
+                &mut rc,
+                &hard,
+                &mut false_positives,
+                &mut stats,
+                &index,
+                &reach,
+                &mut waves_done,
+            );
             retain_not(&mut rc, &removed);
 
-            // ---------------- shared negatives for grouping + TP -----------
-            let negatives = if self.cfg.wave_parallel {
-                self.generate_negatives_reduced(
-                    &mut rc, &hard, &hard_fps, &index, &reach, &mut memo,
-                )
-            } else {
-                self.generate_negatives_full(&mut rc, &hard, &index)
-            };
-
-            // ---------------- indistinguishable grouping (O3) --------------
-            let groups = if self.cfg.handle_indistinguishable {
-                self.group_indistinct(&mut rc, &validated, &negatives)
-            } else {
-                Vec::new()
-            };
-
-            // ---------------- true positive validation pass ----------------
-            // The negative tests are mutually independent, so deploy them as
-            // one batch: an execution engine fans the batch across its
-            // worker pool and memoizes repeats, a plain oracle runs them
-            // sequentially — either way reports come back in input order,
-            // so the outcome is identical to the one-at-a-time loop.
-            let to_deploy: Vec<usize> = (0..rc.len()).filter(|&i| negatives[i].is_some()).collect();
-            let batch: Vec<Program> = to_deploy
-                .iter()
-                .filter_map(|&i| negatives[i].as_ref().map(|n| n.neg.program.clone()))
-                .collect();
-            self.obs
-                .histogram("validation.tp.batch_size", batch.len() as u64);
-            // The wave span scopes the batch: per-request deploy spans from
-            // the engine's worker pool parent under it.
-            let wave_span = if self.obs.is_enabled() && !batch.is_empty() {
-                let mut span = self.obs.start_span("pipeline/validation/wave");
-                span.attr(
-                    "wave",
-                    if self.cfg.wave_parallel {
-                        waves_done
-                    } else {
-                        iter as u64
-                    },
-                );
-                span.attr("width", to_deploy.len());
-                span.attr("batch", batch.len());
-                Some(span)
-            } else {
-                None
-            };
-            let mut reports: Vec<Option<(DeployReport, bool)>> = vec![None; rc.len()];
-            let batch_reports = self.oracle.deploy_batch_annotated(&batch);
-            for (&i, report) in to_deploy.iter().zip(batch_reports) {
-                reports[i] = Some(report);
-            }
-            if let Some(span) = wave_span {
-                span.finish();
-            }
-            if !batch.is_empty() {
-                waves_done += 1;
-                self.obs.counter("validation.waves", 1);
-            }
-            if self.obs.is_enabled() {
-                // TP probe outcomes, in candidate order (deterministic even
-                // when the engine fans the batch across workers).
-                for &i in &to_deploy {
-                    if let Some((report, cached)) = reports[i].as_ref() {
-                        let (success, phase, rule) = outcome_fields(report);
-                        self.lifecycle(
-                            &rc[i].mined.check,
-                            Lifecycle::DeployOutcome {
-                                polarity: Polarity::TpProbe,
-                                success,
-                                phase,
-                                rule,
-                                cached: *cached,
-                            },
-                        );
-                    }
-                }
-            }
-            let mut newly_validated: BTreeSet<usize> = BTreeSet::new();
-            for i in 0..rc.len() {
-                if newly_validated.contains(&i) {
-                    continue;
-                }
-                let Some(neg) = negatives[i].as_ref() else {
-                    continue;
-                };
-                let Some((report, _cached)) = reports[i].take() else {
-                    continue; // Every negative in `to_deploy` got a report.
-                };
-                if report.outcome.is_success() {
-                    continue; // Handled next iteration's FP pass.
-                }
-                // R_n: the open candidates the negative test violates
-                // (including the target itself).
-                let mut rn: BTreeSet<usize> = neg.violates.clone();
-                rn.insert(i);
-                let single = rn.len() == 1;
-                let in_group = groups.iter().any(|g| rn.iter().all(|j| g.contains(j)));
-                if single || in_group {
-                    if single {
-                        stats.tp_single += 1;
-                    } else {
-                        stats.tp_multiple += 1;
-                    }
-                    newly_validated.insert(i);
-                    self.lifecycle(
-                        &rc[i].mined.check,
-                        Lifecycle::Validated { via_group: !single },
-                    );
-                    validated.push(ValidatedCheck {
-                        mined: rc[i].mined.clone(),
-                        via_group: !single,
-                        negative_size: neg.neg.program.len(),
-                        negative_report: report,
-                    });
-                }
-            }
-            // Record group memberships among the newly validated.
-            if !groups.is_empty() {
-                let offset = validated.len() - newly_validated.len();
-                let validated_this_round: Vec<usize> = newly_validated.iter().copied().collect();
-                for g in &groups {
-                    let members: Vec<usize> = validated_this_round
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, idx)| g.contains(idx))
-                        .map(|(k, _)| offset + k)
-                        .collect();
-                    if members.len() > 1 {
-                        groups_out.push(members);
-                    }
-                }
-            }
-            retain_not(&mut rc, &newly_validated);
+            // ---------------- grouping + true positive pass ---------------
+            let negatives = self.generate_negatives_reduced(&mut rc, &hard, &index, &reach);
+            self.tp_pass(
+                &mut rc,
+                &negatives,
+                &mut validated,
+                &mut groups_out,
+                &mut stats,
+                &mut waves_done,
+            );
 
             stats.validated_total = validated.len();
             stats.false_positive_total = false_positives.len();
@@ -637,6 +437,159 @@ impl<'a, D: DeployOracle> Scheduler<'a, D> {
             groups: groups_out,
             trace,
         }
+    }
+
+    /// The open candidate set `R_c`, in evaluation order when O4 is on.
+    fn candidates(&self, mined: Vec<MinedCheck>) -> Vec<Candidate> {
+        let depths = type_depths(self.kb);
+        let mut rc: Vec<Candidate> = mined
+            .into_iter()
+            .map(|mined| {
+                let order = check_order(&mined.check, &depths);
+                let fp = mined.check.fingerprint();
+                Candidate {
+                    mined,
+                    positive: None,
+                    order,
+                    fp,
+                }
+            })
+            .collect();
+        if self.cfg.use_partial_order {
+            // O4, with the fingerprint as tie-break: a canonical total order
+            // shared with the wave planner, so the replayed timeline is the
+            // one-at-a-time loop's.
+            rc.sort_by_key(|c| (c.order, c.fp));
+        }
+        rc
+    }
+
+    /// The second half of an iteration: indistinguishable grouping (O3),
+    /// then one batch deploy of the shared negative tests, validating every
+    /// candidate whose failing test violates only itself or one group.
+    /// Newly validated candidates move from `rc` to `validated`.
+    fn tp_pass(
+        &self,
+        rc: &mut Vec<Candidate>,
+        negatives: &[Option<SharedNegative>],
+        validated: &mut Vec<ValidatedCheck>,
+        groups_out: &mut Vec<Vec<usize>>,
+        stats: &mut IterationStats,
+        waves_done: &mut u64,
+    ) {
+        let groups = if self.cfg.handle_indistinguishable {
+            self.group_indistinct(rc, validated, negatives)
+        } else {
+            Vec::new()
+        };
+
+        // The negative tests are mutually independent, so deploy them as
+        // one batch: an execution engine fans the batch across its
+        // worker pool and memoizes repeats, a plain oracle runs them
+        // sequentially — either way reports come back in input order,
+        // so the outcome is identical to the one-at-a-time loop.
+        let to_deploy: Vec<usize> = (0..rc.len()).filter(|&i| negatives[i].is_some()).collect();
+        let batch: Vec<Program> = to_deploy
+            .iter()
+            .filter_map(|&i| negatives[i].as_ref().map(|n| n.neg.program.clone()))
+            .collect();
+        self.obs
+            .histogram("validation.tp.batch_size", batch.len() as u64);
+        // The wave span scopes the batch: per-request deploy spans from
+        // the engine's worker pool parent under it.
+        let wave_span = if self.obs.is_enabled() && !batch.is_empty() {
+            let mut span = self.obs.start_span("pipeline/validation/wave");
+            span.attr("wave", *waves_done);
+            span.attr("width", to_deploy.len());
+            span.attr("batch", batch.len());
+            Some(span)
+        } else {
+            None
+        };
+        let mut reports: Vec<Option<(DeployReport, bool)>> = vec![None; rc.len()];
+        let batch_reports = self.oracle.deploy_batch_annotated(&batch);
+        for (&i, report) in to_deploy.iter().zip(batch_reports) {
+            reports[i] = Some(report);
+        }
+        if let Some(span) = wave_span {
+            span.finish();
+        }
+        if !batch.is_empty() {
+            *waves_done += 1;
+            self.obs.counter("validation.waves", 1);
+        }
+        if self.obs.is_enabled() {
+            // TP probe outcomes, in candidate order (deterministic even
+            // when the engine fans the batch across workers).
+            for &i in &to_deploy {
+                if let Some((report, cached)) = reports[i].as_ref() {
+                    let (success, phase, rule) = outcome_fields(report);
+                    self.lifecycle(
+                        &rc[i].mined.check,
+                        Lifecycle::DeployOutcome {
+                            polarity: Polarity::TpProbe,
+                            success,
+                            phase,
+                            rule,
+                            cached: *cached,
+                        },
+                    );
+                }
+            }
+        }
+        let mut newly_validated: BTreeSet<usize> = BTreeSet::new();
+        for i in 0..rc.len() {
+            let Some(neg) = negatives[i].as_ref() else {
+                continue;
+            };
+            let Some((report, _cached)) = reports[i].take() else {
+                continue; // Every negative in `to_deploy` got a report.
+            };
+            if report.outcome.is_success() {
+                continue; // Handled next iteration's FP pass.
+            }
+            // R_n: the open candidates the negative test violates
+            // (including the target itself).
+            let mut rn: BTreeSet<usize> = neg.violates.clone();
+            rn.insert(i);
+            let single = rn.len() == 1;
+            let in_group = groups.iter().any(|g| rn.iter().all(|j| g.contains(j)));
+            if single || in_group {
+                if single {
+                    stats.tp_single += 1;
+                } else {
+                    stats.tp_multiple += 1;
+                }
+                newly_validated.insert(i);
+                self.lifecycle(
+                    &rc[i].mined.check,
+                    Lifecycle::Validated { via_group: !single },
+                );
+                validated.push(ValidatedCheck {
+                    mined: rc[i].mined.clone(),
+                    via_group: !single,
+                    negative_size: neg.neg.program.len(),
+                    negative_report: report,
+                });
+            }
+        }
+        // Record group memberships among the newly validated.
+        if !groups.is_empty() {
+            let offset = validated.len() - newly_validated.len();
+            let validated_this_round: Vec<usize> = newly_validated.iter().copied().collect();
+            for g in &groups {
+                let members: Vec<usize> = validated_this_round
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, idx)| g.contains(idx))
+                    .map(|(k, _)| offset + k)
+                    .collect();
+                if members.len() > 1 {
+                    groups_out.push(members);
+                }
+            }
+        }
+        retain_not(rc, &newly_validated);
     }
 
     /// Finds (or synthesises) and caches a positive case for a candidate,
@@ -760,22 +713,18 @@ fn check_order(check: &Check, depths: &HashMap<Symbol, i64>) -> i64 {
 }
 
 impl<'a, D: DeployOracle> Scheduler<'a, D> {
-    /// Runs a candidate's negative test through the cross-iteration memo:
-    /// an unchanged (hard, soft) encoding returns the stored result
-    /// outright, and a changed one re-solves seeded by the stored models.
-    /// `soft_ids` are indices into `rc`; the returned `violated_soft`
+    /// Candidate `i`'s negative test, encoded against the open candidates
+    /// `soft_ids` (indices into `rc`); the returned `violated_soft`
     /// positions index `soft_ids`.
-    fn memoized_negative(
+    fn negative_for(
         &self,
         rc: &[Candidate],
         i: usize,
         soft_ids: &[usize],
         hard: &[Check],
-        hard_fps: &[u64],
-        memo: &mut NegMemo,
     ) -> MutationResult {
         // Callers only ask after a positive case exists; fall back to the
-        // same demotion the sequential path would reach if it ever is not.
+        // same demotion the reference would reach if it ever is not.
         let Some(positive) = rc[i].positive.as_ref() else {
             return MutationResult::NotApplicable;
         };
@@ -783,21 +732,7 @@ impl<'a, D: DeployOracle> Scheduler<'a, D> {
             .iter()
             .map(|&j| (rc[j].mined.check.clone(), soft_weight(&rc[j].mined)))
             .collect();
-        let soft_fps: Vec<u64> = soft_ids.iter().map(|&j| rc[j].fp).collect();
-        let mut soft_key: Vec<(u64, u64)> = soft_fps
-            .iter()
-            .zip(&soft)
-            .map(|(&f, (_, w))| (f, *w))
-            .collect();
-        soft_key.sort_unstable();
-        if let Some(e) = memo.entries.get(&rc[i].fp) {
-            if e.hard_fps == hard_fps && e.soft_key == soft_key {
-                self.obs.counter("solver.incremental.hit", 1);
-                return remap_memo(e, &soft_fps);
-            }
-        }
-        let seed = memo.entries.get(&rc[i].fp).map(|e| e.seed.clone());
-        let (result, seed_out, st) = mutate::negative_test_seeded(
+        mutate::negative_test(
             &rc[i].mined.check,
             positive,
             hard,
@@ -805,178 +740,26 @@ impl<'a, D: DeployOracle> Scheduler<'a, D> {
             self.kb,
             self.corpus,
             &self.cfg.mutation,
-            seed.as_ref(),
-        );
-        if st.seeded > 0 {
-            self.obs.counter("solver.incremental.seeded", st.seeded);
-        }
-        if st.cold > 0 {
-            self.obs.counter("solver.incremental.miss", st.cold);
-        }
-        memo.entries.insert(
-            rc[i].fp,
-            MemoEntry {
-                hard_fps: hard_fps.to_vec(),
-                soft_key,
-                stored_soft: soft_fps,
-                result: result.clone(),
-                seed: seed_out,
-            },
-        );
-        result
+        )
     }
 
-    /// The one-candidate-at-a-time false-positive pass (the trusted
-    /// baseline the wave path is differentially tested against). Returns
+    /// The false-positive pass: plan conflict-free waves, *speculatively*
+    /// encode and batch-deploy each wave, then replay the exact
+    /// one-at-a-time timeline consuming speculative records whose soft sets
+    /// match. Verdict sets are those of the reference loop by construction:
+    /// solver UNSAT / not-applicable verdicts do not depend on soft
+    /// constraints at all (exact whenever discovered), and every
+    /// deploy-dependent verdict is confirmed at its exact position. Returns
     /// the set of demoted indices.
-    fn fp_pass_sequential(
-        &self,
-        rc: &mut [Candidate],
-        hard: &[Check],
-        false_positives: &mut Vec<FalsifiedCheck>,
-        stats: &mut IterationStats,
-        iter: usize,
-        index: &mdc::CorpusIndex,
-    ) -> BTreeSet<usize> {
-        if self.obs.is_enabled() {
-            // Scheduled events: conflict pressure is the number of
-            // co-scheduled candidates anchored on the same resource type
-            // (they compete for the same mutation targets).
-            let mut per_type: HashMap<Symbol, u64> = HashMap::new();
-            for c in rc.iter() {
-                *per_type.entry(c.mined.check.bindings[0].rtype).or_default() += 1;
-            }
-            for c in rc.iter() {
-                let same = per_type
-                    .get(&c.mined.check.bindings[0].rtype)
-                    .copied()
-                    .unwrap_or(1);
-                self.lifecycle(
-                    &c.mined.check,
-                    Lifecycle::Scheduled {
-                        wave: iter as u64,
-                        conflicts: same.saturating_sub(1),
-                    },
-                );
-            }
-        }
-        let mut removed: BTreeSet<usize> = BTreeSet::new();
-        for i in 0..rc.len() {
-            if removed.contains(&i) {
-                continue;
-            }
-            if self.ensure_positive(&mut rc[i], index).is_none() {
-                removed.insert(i);
-                self.demote_event(&rc[i].mined.check, FalsifyReason::NoPositiveCase);
-                false_positives.push(FalsifiedCheck {
-                    mined: rc[i].mined.clone(),
-                    reason: FalsifyReason::NoPositiveCase,
-                });
-                continue;
-            }
-            let soft: Vec<(Check, u64)> = rc
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i && !removed.contains(j))
-                .map(|(_, c)| (c.mined.check.clone(), soft_weight(&c.mined)))
-                .collect();
-            // `ensure_positive` succeeded above, so the case is cached;
-            // skip defensively rather than panic if it is ever not.
-            let Some(positive) = rc[i].positive.as_ref() else {
-                continue;
-            };
-            let result = mutate::negative_test(
-                &rc[i].mined.check,
-                positive,
-                hard,
-                &soft,
-                self.kb,
-                self.corpus,
-                &self.cfg.mutation,
-            );
-            match result {
-                MutationResult::Unsat => {
-                    stats.fp_unsatisfiable += 1;
-                    removed.insert(i);
-                    self.demote_event(&rc[i].mined.check, FalsifyReason::Unsatisfiable);
-                    false_positives.push(FalsifiedCheck {
-                        mined: rc[i].mined.clone(),
-                        reason: FalsifyReason::Unsatisfiable,
-                    });
-                }
-                MutationResult::NotApplicable => {
-                    removed.insert(i);
-                    self.demote_event(&rc[i].mined.check, FalsifyReason::NotApplicable);
-                    false_positives.push(FalsifiedCheck {
-                        mined: rc[i].mined.clone(),
-                        reason: FalsifyReason::NotApplicable,
-                    });
-                }
-                MutationResult::Negative(neg) => {
-                    let (report, cached) = self.oracle.deploy_annotated(&neg.program);
-                    let (success, phase, rule) = outcome_fields(&report);
-                    self.lifecycle(
-                        &rc[i].mined.check,
-                        Lifecycle::DeployOutcome {
-                            polarity: Polarity::FpProbe,
-                            success,
-                            phase,
-                            rule,
-                            cached,
-                        },
-                    );
-                    if success {
-                        stats.fp_deployable += 1;
-                        removed.insert(i);
-                        self.demote_event(&rc[i].mined.check, FalsifyReason::Deployable);
-                        false_positives.push(FalsifiedCheck {
-                            mined: rc[i].mined.clone(),
-                            reason: FalsifyReason::Deployable,
-                        });
-                        // Every violated open candidate falls with it: the
-                        // deployment succeeded despite violating them all.
-                        let soft_indices: Vec<usize> = rc
-                            .iter()
-                            .enumerate()
-                            .filter(|(j, _)| *j != i && !removed.contains(j))
-                            .map(|(j, _)| j)
-                            .collect();
-                        for (pos_in_soft, &j) in soft_indices.iter().enumerate() {
-                            if neg.violated_soft.contains(&pos_in_soft) {
-                                stats.fp_deployable += 1;
-                                removed.insert(j);
-                                self.demote_event(&rc[j].mined.check, FalsifyReason::Deployable);
-                                false_positives.push(FalsifiedCheck {
-                                    mined: rc[j].mined.clone(),
-                                    reason: FalsifyReason::Deployable,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        removed
-    }
-
-    /// The wave-parallel false-positive pass: plan conflict-free waves,
-    /// *speculatively* encode and batch-deploy each wave, then replay the
-    /// exact sequential timeline consuming speculative records whose soft
-    /// sets match. Verdict sets are identical to [`Self::fp_pass_sequential`]
-    /// by construction: solver UNSAT / not-applicable verdicts do not depend
-    /// on soft constraints at all (exact whenever discovered), and every
-    /// deploy-dependent verdict is confirmed at its exact position.
     #[allow(clippy::too_many_arguments)]
     fn fp_pass_waves(
         &self,
         rc: &mut [Candidate],
         hard: &[Check],
-        hard_fps: &[u64],
         false_positives: &mut Vec<FalsifiedCheck>,
         stats: &mut IterationStats,
         index: &mdc::CorpusIndex,
         reach: &plan::TypeReach,
-        memo: &mut NegMemo,
         waves_done: &mut u64,
     ) -> BTreeSet<usize> {
         let n = rc.len();
@@ -986,7 +769,7 @@ impl<'a, D: DeployOracle> Scheduler<'a, D> {
 
         // Positive cases up front: the no-positive-case verdict is
         // soft-set-independent, so these demotions are exact. (A candidate
-        // the sequential path would have demoted earlier by co-violation
+        // the reference loop would have demoted earlier by co-violation
         // gets a different *reason* here, never a different verdict.)
         for (i, cand) in rc.iter_mut().enumerate() {
             if self.ensure_positive(cand, index).is_none() {
@@ -1032,7 +815,7 @@ impl<'a, D: DeployOracle> Scheduler<'a, D> {
                     continue; // Expected demoted at or before its own turn.
                 }
                 let soft_ids = relevant_open(i, &wave_plan, &spec_at, n);
-                match self.memoized_negative(rc, i, &soft_ids, hard, hard_fps, memo) {
+                match self.negative_for(rc, i, &soft_ids, hard) {
                     MutationResult::Unsat => {
                         stats.fp_unsatisfiable += 1;
                         exact_at.insert(i, i);
@@ -1111,7 +894,7 @@ impl<'a, D: DeployOracle> Scheduler<'a, D> {
         // ---- exact replay along the canonical timeline -------------------
         for i in 0..n {
             if exact_at.get(&i).is_some_and(|&p| p <= i) {
-                continue; // Demoted before its turn — exactly as sequential.
+                continue; // Demoted before its turn — exactly as one at a time.
             }
             let soft_ids = relevant_open(i, &wave_plan, &exact_at, n);
             let (soft_ids, neg, report, cached) = match specs.remove(&i) {
@@ -1121,7 +904,7 @@ impl<'a, D: DeployOracle> Scheduler<'a, D> {
                     // not happen, or happened at the wrong position):
                     // recompute at the exact position and deploy alone.
                     self.obs.counter("validation.wave.replays", 1);
-                    match self.memoized_negative(rc, i, &soft_ids, hard, hard_fps, memo) {
+                    match self.negative_for(rc, i, &soft_ids, hard) {
                         MutationResult::Unsat => {
                             stats.fp_unsatisfiable += 1;
                             exact_at.insert(i, i);
@@ -1176,7 +959,7 @@ impl<'a, D: DeployOracle> Scheduler<'a, D> {
                             // Already demoted by a soft-set-independent
                             // verdict at its own (later) position; tighten
                             // it to the co-violation position so later soft
-                            // sets exclude it, as the sequential path would.
+                            // sets exclude it, as the reference loop would.
                             let p = *e.get();
                             e.insert(p.min(i));
                         }
@@ -1196,70 +979,16 @@ impl<'a, D: DeployOracle> Scheduler<'a, D> {
         exact_at.keys().copied().collect()
     }
 
-    /// Generates one shared negative test per open candidate (full soft
-    /// lists — the sequential baseline), for the grouping and TP passes.
-    fn generate_negatives_full(
-        &self,
-        rc: &mut [Candidate],
-        hard: &[Check],
-        index: &mdc::CorpusIndex,
-    ) -> Vec<Option<SharedNegative>> {
-        let n = rc.len();
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            if self.ensure_positive(&mut rc[i], index).is_none() {
-                out.push(None);
-                continue;
-            }
-            let soft: Vec<(Check, u64)> = (0..n)
-                .filter(|j| *j != i)
-                .map(|j| (rc[j].mined.check.clone(), soft_weight(&rc[j].mined)))
-                .collect();
-            let Some(positive) = rc[i].positive.as_ref() else {
-                out.push(None);
-                continue;
-            };
-            let result = mutate::negative_test(
-                &rc[i].mined.check,
-                positive,
-                hard,
-                &soft,
-                self.kb,
-                self.corpus,
-                &self.cfg.mutation,
-            );
-            out.push(match result {
-                MutationResult::Negative(neg) => {
-                    let soft_global: Vec<usize> = (0..n).filter(|j| *j != i).collect();
-                    let violates = neg
-                        .violated_soft
-                        .iter()
-                        .filter_map(|&p| soft_global.get(p).copied())
-                        .collect();
-                    Some(SharedNegative {
-                        neg: *neg,
-                        violates,
-                    })
-                }
-                _ => None,
-            });
-        }
-        out
-    }
-
-    /// [`Self::generate_negatives_full`] with relevance-reduced soft lists
-    /// and the memo: irrelevant checks cannot ground over a candidate's
-    /// mutants, so dropping them leaves the solver's answer — and the
-    /// violated set — unchanged while making encodings mostly reusable
-    /// across passes and iterations.
+    /// Generates one shared negative test per open candidate, for the
+    /// grouping and TP passes. Soft lists are relevance-reduced: irrelevant
+    /// checks cannot ground over a candidate's mutants, so dropping them
+    /// leaves the solver's answer — and the violated set — unchanged.
     fn generate_negatives_reduced(
         &self,
         rc: &mut [Candidate],
         hard: &[Check],
-        hard_fps: &[u64],
         index: &mdc::CorpusIndex,
         reach: &plan::TypeReach,
-        memo: &mut NegMemo,
     ) -> Vec<Option<SharedNegative>> {
         let n = rc.len();
         for cand in rc.iter_mut() {
@@ -1276,7 +1005,7 @@ impl<'a, D: DeployOracle> Scheduler<'a, D> {
                 continue;
             }
             let soft_ids = relevant_open(i, &wave_plan, &open, n);
-            let result = self.memoized_negative(rc, i, &soft_ids, hard, hard_fps, memo);
+            let result = self.negative_for(rc, i, &soft_ids, hard);
             out.push(match result {
                 MutationResult::Negative(neg) => {
                     let violates = neg
@@ -1408,6 +1137,9 @@ impl<'a, D: DeployOracle> Scheduler<'a, D> {
 pub fn value_str(v: &str) -> Value {
     Value::s(v)
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -59,7 +59,7 @@ done
 
 # Fuzz smoke: the differential fuzzer must pass and its report must be a
 # pure function of the seed (byte-identical stdout across two runs). The
-# 256-case run also exercises the repair properties (7–9: soundness,
+# 256-case run also exercises the repair properties (6–8: soundness,
 # minimality, intent preservation).
 fuzz_a=$(mktemp) fuzz_b=$(mktemp) repair_dir=$(mktemp -d)
 trap 'rm -f "$fuzz_a" "$fuzz_b"; rm -rf "$repair_dir"' EXIT
