@@ -1,9 +1,9 @@
 //! Telemetry micro-benchmarks: the cost of one serving-boundary
 //! observation on the hot scan path (registry + rolling windows +
 //! exemplar offer, the work `Daemon::handle` adds around dispatch) and
-//! the cost of rendering a `/metrics` scrape. Results are recorded in
-//! `BENCH_obs.json` at the repo root; the end-to-end overhead gate is the
-//! `obs_smoke` release binary run by `scripts/ci.sh`.
+//! the cost of rendering a `/metrics` scrape. EXPERIMENTS.md records the
+//! figures. What the boundary may add to a request (no allocation, only its
+//! own records) is pinned by a unit test in `zodiac-daemon`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;

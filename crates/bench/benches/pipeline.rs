@@ -1,5 +1,7 @@
-//! Criterion benches for the pipeline phases: corpus generation, mining,
-//! validation scheduling, and misconfiguration scanning.
+//! Criterion benches for the validation scheduler regimes the benchmark
+//! (`perfbench/`) does not cover: a 4-worker deploy engine and a warm
+//! persistent deploy memo. The cold single-worker schedule, corpus
+//! generation, mining and scanning are timed per layer by perfbench.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use zodiac_cloud::CloudSim;
@@ -21,45 +23,12 @@ fn small_corpus() -> Vec<Program> {
     .collect()
 }
 
-fn bench_corpus_generation(c: &mut Criterion) {
-    c.bench_function("corpus/generate-60-projects", |b| {
-        b.iter(|| {
-            zodiac_corpus::generate(&CorpusConfig {
-                projects: 60,
-                ..Default::default()
-            })
-        })
-    });
-}
-
-fn bench_mining(c: &mut Criterion) {
-    let corpus = small_corpus();
-    let kb = zodiac_kb::azure_kb();
-    c.bench_function("mining/60-projects", |b| {
-        b.iter(|| mine(&corpus, &kb, &MiningConfig::default()))
-    });
-}
-
 fn bench_validation(c: &mut Criterion) {
     let corpus = small_corpus();
     let kb = zodiac_kb::azure_kb();
-    let sim = CloudSim::new_azure();
     let mining = mine(&corpus, &kb, &MiningConfig::default());
-    // The headline scheduling number: wave-parallel (the default), cold,
-    // straight against the simulator. Keep the name stable — CI's
-    // schedule_smoke gate and BENCH_pipeline.json both track it.
-    c.bench_function("validation/schedule-60-projects", |b| {
-        b.iter_batched(
-            || mining.checks.clone(),
-            |checks| {
-                let scheduler = Scheduler::new(&sim, &kb, &corpus, SchedulerConfig::default());
-                scheduler.run(checks)
-            },
-            BatchSize::SmallInput,
-        )
-    });
     // Wave-parallel through the worker-pool engine (4 deploy workers):
-    // what `zodiac mine --deploy-workers 4` pays per scheduling pass.
+    // what `zodiac mine --workers 4` pays per scheduling pass.
     c.bench_function("validation/schedule-60-workers-4", |b| {
         b.iter_batched(
             || mining.checks.clone(),
@@ -119,38 +88,9 @@ fn bench_validation(c: &mut Criterion) {
     let _ = std::fs::remove_file(&memo_path);
 }
 
-// The headline evaluation scale (corpus → mining → validation →
-// counterexamples, 600 + 300 projects) end to end, as `zodiac mine` and the
-// exp_* binaries run it. Tracks the cost of the whole funnel rather than
-// one phase; BENCH_pipeline.json records the committed baseline.
-fn bench_full_pipeline(c: &mut Criterion) {
-    let cfg = zodiac_bench::eval_config();
-    c.bench_function("pipeline/600-projects", |b| {
-        b.iter(|| zodiac::run_pipeline(&cfg))
-    });
-}
-
-fn bench_scanner(c: &mut Criterion) {
-    let corpus = small_corpus();
-    let kb = zodiac_kb::azure_kb();
-    let checks = vec![
-        zodiac_spec::parse_check(
-            "let r1:VM, r2:NIC in conn(r1.network_interface_ids -> r2.id) => r1.location == r2.location",
-        )
-        .unwrap(),
-        zodiac_spec::parse_check(
-            "let r:SA in r.account_tier == 'Premium' => r.account_replication_type != 'GZRS'",
-        )
-        .unwrap(),
-    ];
-    c.bench_function("scanner/60-projects-2-checks", |b| {
-        b.iter(|| zodiac::scanner::scan_corpus(&corpus, &checks, &kb))
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_corpus_generation, bench_mining, bench_validation, bench_full_pipeline, bench_scanner
+    targets = bench_validation
 }
 criterion_main!(benches);

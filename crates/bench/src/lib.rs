@@ -13,7 +13,7 @@ use zodiac_mining::MinedCheck;
 use zodiac_model::Program;
 use zodiac_obs::{JsonLinesSink, MemoryRecorder, MetricsSnapshot, Obs, Recorder};
 use zodiac_spec::{Check, ShapeCategory};
-use zodiac_validation::{mdc, mutate, DeployOracle};
+use zodiac_validation::{mdc, mutate};
 
 /// The evaluation-scale pipeline configuration shared by experiments.
 pub fn eval_config() -> PipelineConfig {
@@ -23,13 +23,8 @@ pub fn eval_config() -> PipelineConfig {
     cfg
 }
 
-/// Runs the shared pipeline and returns the result plus the mined corpus.
-pub fn run_eval_pipeline() -> (PipelineResult, Vec<Program>) {
-    run_eval_pipeline_obs(&Obs::null())
-}
-
-/// [`run_eval_pipeline`] recording funnel counters and stage spans into an
-/// observability handle.
+/// Runs the shared pipeline, recording funnel counters and stage spans into
+/// an observability handle, and returns the result plus the mined corpus.
 pub fn run_eval_pipeline_obs(obs: &Obs) -> (PipelineResult, Vec<Program>) {
     let cfg = eval_config();
     let corpus: Vec<Program> = zodiac_corpus::generate(&cfg.corpus)
@@ -234,17 +229,6 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
         let _ = std::fs::write(&path, json);
         println!("\n[record written to {}]", path.display());
     }
-}
-
-/// Deploys a suite of programs and returns reports (in suite order). Goes
-/// through [`DeployOracle::deploy_batch`] so an execution engine can fan
-/// the suite across its worker pool.
-pub fn deploy_all<D: DeployOracle>(
-    oracle: &D,
-    suite: &[(usize, Program)],
-) -> Vec<zodiac_cloud::DeployReport> {
-    let programs: Vec<Program> = suite.iter().map(|(_, p)| p.clone()).collect();
-    oracle.deploy_batch(&programs)
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ use protocol::{Request, Response, SourceFormat};
 use serde::Value;
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use store::{CheckStore, LoadReport, Origin, StoredCheck};
 use zodiac::{check_set_key, ScanCache};
@@ -167,10 +167,6 @@ pub struct Daemon {
     /// Slowest-N requests per op, replayable via `zodiac explain`.
     exemplars: TailExemplars,
     clock: Arc<dyn Clock>,
-    scans: AtomicU64,
-    repairs: AtomicU64,
-    cache_hits: AtomicU64,
-    deltas: AtomicU64,
     ready: AtomicBool,
     shutdown: AtomicBool,
 }
@@ -212,10 +208,6 @@ impl Daemon {
             rolling,
             exemplars: TailExemplars::new(EXEMPLARS_PER_OP),
             clock,
-            scans: AtomicU64::new(0),
-            repairs: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            deltas: AtomicU64::new(0),
             ready: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
         };
@@ -317,16 +309,6 @@ impl Daemon {
         resp
     }
 
-    /// [`Daemon::handle`] minus the serving-boundary telemetry: no request
-    /// span, no `op.<name>.*` observations, no exemplar offer. Exists so
-    /// the CI overhead gate (`obs_smoke`) can measure the boundary's cost
-    /// A/B within one process; not part of the protocol surface.
-    #[doc(hidden)]
-    pub fn handle_unmetered(&self, req: Request) -> Response {
-        let mut touched: Vec<u64> = Vec::new();
-        self.dispatch(req, &mut touched)
-    }
-
     fn dispatch(&self, req: Request, touched: &mut Vec<u64>) -> Response {
         match req {
             Request::Scan { id, source, format } => self.scan(id, &source, format, touched),
@@ -405,10 +387,8 @@ impl Daemon {
                 )
             }
         };
-        self.scans.fetch_add(1, Ordering::Relaxed);
         self.obs.counter("daemon.scans", 1);
         if cached {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
             self.obs.counter("daemon.cache_hits", 1);
         }
         // Violated-check fingerprints, deduped in check order: the
@@ -521,7 +501,6 @@ impl Daemon {
         if let Err(e) = engine.sync_persistent() {
             return Response::err(&format!("repair: {e}"));
         }
-        self.repairs.fetch_add(1, Ordering::Relaxed);
         self.obs.counter("daemon.repairs", 1);
         // The repair fingerprint keys the accepted/rejected ledger, so a
         // slow repair's exemplar replays through `zodiac explain` directly.
@@ -740,7 +719,6 @@ impl Daemon {
         let projects = remine.stats.projects() as u64;
         drop(remine);
 
-        self.deltas.fetch_add(1, Ordering::Relaxed);
         self.obs.counter("daemon.deltas", 1);
         Response::ok("submit_corpus_delta")
             .num("upserted", upserted)
@@ -893,25 +871,227 @@ impl Daemon {
             (store.records() as u64, remine.stats.projects() as u64)
         };
         self.publish_process_gauges();
+        // The flat counters are read from the snapshot the response embeds,
+        // so the two always agree. `MetricsSnapshot::counter` reads 0 for a
+        // counter never touched without creating it in the registry.
+        let metrics = self.registry.snapshot();
         Response::ok("status")
             .num("checks", snapshot.len() as u64)
             .num("check_set_version", snapshot.version)
             .str("check_set_key", &format!("{:016x}", snapshot.key))
-            .num("scans", self.scans.load(Ordering::Relaxed))
-            .num("repairs", self.repairs.load(Ordering::Relaxed))
-            .num("cache_hits", self.cache_hits.load(Ordering::Relaxed))
+            .num("scans", metrics.counter("daemon.scans"))
+            .num("repairs", metrics.counter("daemon.repairs"))
+            .num("cache_hits", metrics.counter("daemon.cache_hits"))
             .num("cache_entries", self.cache.len() as u64)
             .num("corpus_projects", projects)
-            .num("deltas", self.deltas.load(Ordering::Relaxed))
+            .num("deltas", metrics.counter("daemon.deltas"))
             .num("store_records", records)
             .bool("ready", self.is_ready())
-            .field(
-                "metrics",
-                Self::embed_json(&self.registry.snapshot().to_json()),
-            )
+            .field("metrics", Self::embed_json(&metrics.to_json()))
             .field(
                 "rolling",
                 Self::embed_json(&self.rolling.snapshot().to_json()),
             )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The cost of the serving boundary, pinned deterministically: on a warm
+    //! daemon, [`Daemon::handle`] may differ from the bare
+    //! [`Daemon::dispatch`] it wraps only by the boundary's own records,
+    //! and never by a heap allocation.
+
+    use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+    use zodiac_obs::{CandidateEvent, SpanRecord};
+
+    thread_local! {
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Counts allocations per thread: the crate's unit tests run on
+    /// parallel threads, and a process-wide count would take in theirs.
+    struct ThreadCountingAlloc;
+
+    impl ThreadCountingAlloc {
+        fn bump() {
+            // `try_with`, not `with`: an allocator must never panic.
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        }
+    }
+
+    // SAFETY: every call goes to `System` verbatim; the count is a
+    // thread-local cell that neither allocates nor sees the pointers.
+    unsafe impl GlobalAlloc for ThreadCountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            Self::bump();
+            System.alloc(layout)
+        }
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            Self::bump();
+            System.alloc_zeroed(layout)
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            Self::bump();
+            System.realloc(ptr, layout, new_size)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: ThreadCountingAlloc = ThreadCountingAlloc;
+
+    fn allocations() -> u64 {
+        ALLOCATIONS.with(Cell::get)
+    }
+
+    /// Counts recorder calls by kind and name. A name's first call
+    /// allocates its entry; later calls only bump it, so a warm sink adds
+    /// no allocation to the window it is called in.
+    #[derive(Default)]
+    struct CountingSink {
+        calls: Mutex<BTreeMap<&'static str, HashMap<String, u64>>>,
+    }
+
+    impl CountingSink {
+        fn bump(&self, kind: &'static str, name: &str) {
+            let mut calls = self.calls.lock().unwrap();
+            let names = calls.entry(kind).or_default();
+            match names.get_mut(name) {
+                Some(n) => *n += 1,
+                None => {
+                    names.insert(name.to_string(), 1);
+                }
+            }
+        }
+
+        /// Every call so far, as `"<kind> <name>" → count`.
+        fn snapshot(&self) -> BTreeMap<String, u64> {
+            let calls = self.calls.lock().unwrap();
+            calls
+                .iter()
+                .flat_map(|(kind, names)| {
+                    names.iter().map(move |(n, c)| (format!("{kind} {n}"), *c))
+                })
+                .collect()
+        }
+    }
+
+    impl Recorder for CountingSink {
+        fn counter(&self, name: &str, _: u64) {
+            self.bump("counter", name);
+        }
+        fn gauge_set(&self, name: &str, _: u64) {
+            self.bump("gauge", name);
+        }
+        fn gauge_max(&self, name: &str, _: u64) {
+            self.bump("gauge", name);
+        }
+        fn histogram(&self, name: &str, _: u64) {
+            self.bump("histogram", name);
+        }
+        fn span_record(&self, rec: &SpanRecord<'_>) {
+            self.bump("span", rec.path);
+        }
+        fn lifecycle(&self, event: &CandidateEvent) {
+            self.bump("lifecycle", event.kind.kind());
+        }
+    }
+
+    /// The allocations `f` makes on this thread and the recorder calls it
+    /// lands in `sink`.
+    fn measure(
+        sink: &CountingSink,
+        f: impl FnOnce() -> Response,
+    ) -> (u64, BTreeMap<String, u64>, bool) {
+        let before = sink.snapshot();
+        let start = allocations();
+        let resp = f();
+        let allocated = allocations() - start;
+        let mut calls = sink.snapshot();
+        for (name, n) in &before {
+            if let Some(c) = calls.get_mut(name) {
+                *c -= n;
+            }
+        }
+        calls.retain(|_, c| *c > 0);
+        (allocated, calls, resp.is_ok())
+    }
+
+    #[test]
+    fn serving_boundary_adds_no_allocation_and_only_its_own_records() {
+        // The 40-project memo-path workload: generated projects scanned
+        // against the check set mined from them, plus one failing scan.
+        let sources: Vec<String> = zodiac_corpus::generate(&zodiac_corpus::CorpusConfig {
+            projects: 40,
+            noise_rate: 0.05,
+            ..Default::default()
+        })
+        .iter()
+        .map(|p| p.to_hcl())
+        .collect();
+        let dir = std::env::temp_dir().join(format!("zodiacd-boundary-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sink = Arc::new(CountingSink::default());
+        let (daemon, _) =
+            Daemon::open(&dir, DaemonConfig::default(), Obs::single(sink.clone())).unwrap();
+        let programs: Vec<Program> = sources
+            .iter()
+            .map(|s| zodiac_hcl::compile(s).unwrap())
+            .collect();
+        let mined = zodiac_mining::mine(&programs, &daemon.kb, &daemon.cfg.mining);
+        let checks: Vec<Check> = mined.checks.into_iter().map(|c| c.check).collect();
+        assert!(!checks.is_empty(), "the workload mined no checks");
+        daemon.import_checks(&checks).unwrap();
+
+        let mut lines: Vec<String> = sources
+            .iter()
+            .map(|s| {
+                format!(
+                    "{{\"op\":\"scan\",\"source\":{}}}",
+                    serde_json::to_string(&Value::String(s.clone())).unwrap()
+                )
+            })
+            .collect();
+        lines.push("{\"op\":\"scan\",\"source\":\"resource \\\"\"}".to_string());
+        let request = |line: &str| Request::parse(line).unwrap();
+
+        // Warm every memo, cache, metric cell, rolling window, exemplar
+        // reservoir and name buffer through both entry points.
+        for _ in 0..2 {
+            for line in &lines {
+                daemon.handle(request(line));
+                daemon.dispatch(request(line), &mut Vec::new());
+            }
+        }
+
+        for round in 0..20 {
+            for (i, line) in lines.iter().enumerate() {
+                let (req, twin) = (request(line), request(line));
+                let (handle_allocs, handle_calls, ok) = measure(&sink, || daemon.handle(req));
+                let (dispatch_allocs, dispatch_calls, dispatch_ok) =
+                    measure(&sink, || daemon.dispatch(twin, &mut Vec::new()));
+                assert_eq!(ok, dispatch_ok);
+                assert_eq!(ok, i < sources.len(), "request {i}: unexpected outcome");
+                assert_eq!(
+                    handle_allocs, dispatch_allocs,
+                    "round {round}, request {i}: the boundary allocated"
+                );
+                // The boundary's own records, and nothing else.
+                let mut want = dispatch_calls;
+                for boundary in ["span daemon/request/scan", "histogram op.scan.us"]
+                    .into_iter()
+                    .chain((!ok).then_some("counter op.scan.errors"))
+                {
+                    *want.entry(boundary.to_string()).or_default() += 1;
+                }
+                assert_eq!(handle_calls, want, "round {round}, request {i}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

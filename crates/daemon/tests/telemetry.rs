@@ -151,6 +151,70 @@ fn status_embeds_snapshot_and_readiness() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn status_counters_match_known_traffic_and_the_embedded_snapshot() {
+    let dir = temp_store("status-counts");
+    let (daemon, _) = Daemon::open(&dir, DaemonConfig::default(), Obs::null()).unwrap();
+    daemon
+        .import_checks(&[parse_check(
+            "let r:VM in r.priority == 'Spot' => r.eviction_policy != null",
+        )
+        .unwrap()])
+        .unwrap();
+    let status = |daemon: &Daemon| -> serde::Value {
+        serde_json::from_str(&daemon.handle_line("{\"op\":\"status\"}")).unwrap()
+    };
+    let json = |s: &str| serde_json::to_string(&serde::Value::String(s.to_string())).unwrap();
+
+    // Reading status creates no counter, so even a second read embeds none
+    // before traffic.
+    status(&daemon);
+    let v = status(&daemon);
+    let counters = v.get("metrics").and_then(|m| m.get("counters")).unwrap();
+    assert!(counters.get("daemon.scans").is_none(), "{counters:?}");
+
+    // Three scans of one source (one compile, then two verdict-cache hits),
+    // one corpus delta, one repair.
+    let source = spot_violation_source();
+    for _ in 0..3 {
+        let line = daemon.handle_line(&scan_request(&source));
+        assert!(line.contains("\"ok\":true"), "{line}");
+    }
+    let delta = daemon.handle_line(&format!(
+        "{{\"op\":\"submit_corpus_delta\",\"upsert\":[{{\"project\":\"p1\",\"source\":{}}}]}}",
+        json(&source)
+    ));
+    assert!(delta.contains("\"ok\":true"), "{delta}");
+    let repair = daemon.handle_line(&format!(
+        "{{\"op\":\"repair\",\"source\":{}}}",
+        json(&zodiac_hcl::to_hcl(
+            &zodiac_repair::fixtures::spot_vm_network()
+        ))
+    ));
+    assert!(repair.contains("\"ok\":true"), "{repair}");
+
+    let v = status(&daemon);
+    let counters = v.get("metrics").and_then(|m| m.get("counters")).unwrap();
+    for (field, counter, want) in [
+        ("scans", "daemon.scans", 3),
+        ("cache_hits", "daemon.cache_hits", 2),
+        ("deltas", "daemon.deltas", 1),
+        ("repairs", "daemon.repairs", 1),
+    ] {
+        assert_eq!(
+            v.get(field).and_then(serde::Value::as_u64),
+            Some(want),
+            "{field}"
+        );
+        assert_eq!(
+            counters.get(counter).and_then(serde::Value::as_u64),
+            Some(want),
+            "{counter}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     let mut stream = TcpStream::connect(addr).unwrap();
     write!(stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();

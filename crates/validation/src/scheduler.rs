@@ -35,7 +35,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use zodiac_cloud::DeployReport;
 use zodiac_kb::KnowledgeBase;
 use zodiac_mining::MinedCheck;
-use zodiac_model::{Program, Symbol, Value};
+use zodiac_model::{Program, Symbol};
 use zodiac_obs::{Lifecycle, MetricsSnapshot, Obs, Polarity};
 use zodiac_spec::{Check, Expr, Val};
 
@@ -1131,11 +1131,6 @@ impl<'a, D: DeployOracle> Scheduler<'a, D> {
         }
         out
     }
-}
-
-/// Literal helper re-exported for tests.
-pub fn value_str(v: &str) -> Value {
-    Value::s(v)
 }
 
 #[cfg(test)]
