@@ -51,9 +51,8 @@ impl NativeValidate {
         }
         // Enum domains / int ranges on leaf values.
         for attr in schema.attrs.values() {
-            let segs: Vec<String> = attr.path.split('.').map(str::to_string).collect();
-            for v in zodiac_spec::eval::resolve_multi(r, &segs) {
-                match (&attr.format, &v) {
+            for v in r.get_all(&attr.path) {
+                match (&attr.format, v) {
                     (ValueFormat::Enum { values, .. }, Value::Str(s))
                         if !values.iter().any(|x| x == s) =>
                     {

@@ -40,9 +40,8 @@ impl TfLint {
             // Per-attribute enum validation — the limit of TFLint's
             // reasoning.
             for attr in schema.attrs.values() {
-                let segs: Vec<String> = attr.path.split('.').map(str::to_string).collect();
-                for v in zodiac_spec::eval::resolve_multi(r, &segs) {
-                    if let (ValueFormat::Enum { values, .. }, Value::Str(s)) = (&attr.format, &v) {
+                for v in r.get_all(&attr.path) {
+                    if let (ValueFormat::Enum { values, .. }, Value::Str(s)) = (&attr.format, v) {
                         if !values.iter().any(|x| x == s) {
                             out.push(Finding {
                                 tool: "tflint",

@@ -826,10 +826,9 @@ fn eval_custom(
                 "AzureFirewallSubnet" | "AzureBastionSubnet" => 26,
                 _ => return Vec::new(),
             };
-            let prefixes = zodiac_spec::eval::resolve_multi(r, &["address_prefixes".to_string()]);
-            prefixes
-                .iter()
-                .filter_map(|v| v.as_str())
+            r.get_all("address_prefixes")
+                .into_iter()
+                .filter_map(Value::as_str)
                 .filter_map(|s| s.parse::<Cidr>().ok())
                 .filter(|c| c.prefix() > min_prefix)
                 .map(|c| {
@@ -932,15 +931,12 @@ fn eval_custom(
             if r.rtype != "azurerm_network_interface" {
                 return Vec::new();
             }
-            let ips = zodiac_spec::eval::resolve_multi(
-                r,
-                &[
-                    "ip_configuration".to_string(),
-                    "private_ip_address".to_string(),
-                ],
-            );
             let mut out = Vec::new();
-            for ip in ips.iter().filter_map(|v| v.as_str()) {
+            for ip in r
+                .get_all("ip_configuration.private_ip_address")
+                .into_iter()
+                .filter_map(Value::as_str)
+            {
                 let Ok(addr) = format!("{ip}/32").parse::<Cidr>() else {
                     out.push(mk(node, vec![node], format!("invalid private IP {ip}")));
                     continue;
@@ -951,9 +947,10 @@ fn eval_custom(
                     if target.rtype != "azurerm_subnet" {
                         return false;
                     }
-                    zodiac_spec::eval::resolve_multi(target, &["address_prefixes".to_string()])
-                        .iter()
-                        .filter_map(|v| v.as_str())
+                    target
+                        .get_all("address_prefixes")
+                        .into_iter()
+                        .filter_map(Value::as_str)
                         .filter_map(|s| s.parse::<Cidr>().ok())
                         .any(|c| c.contains(&addr))
                 });
@@ -1005,35 +1002,28 @@ fn validate_schema(graph: &ResourceGraph, kb: &KnowledgeBase, node: NodeIdx) -> 
         if attr.kind != AttrKind::Required {
             continue;
         }
-        let segs: Vec<String> = attr.path.split('.').map(str::to_string).collect();
-        if segs.len() == 1 {
-            if r.get_attr(&segs[0]).is_none() {
-                errors.push(format!(
-                    "{}: missing required attribute {}",
-                    r.id(),
-                    attr.path
-                ));
-            }
-        } else if let Some((child, parent)) = segs.split_last() {
+        if let Some((parent, child)) = attr.path.rsplit_once('.') {
             // Parent present, child missing in at least one instance?
             let parents = count_instances(r, parent);
-            let children = zodiac_spec::eval::resolve_multi(r, &segs).len();
+            let children = r.get_all(&attr.path).len();
             if parents > 0 && children < parents {
                 errors.push(format!(
-                    "{}: missing required attribute {} in a {} block",
+                    "{}: missing required attribute {child} in a {parent} block",
                     r.id(),
-                    child,
-                    parent.join(".")
                 ));
             }
+        } else if r.get_attr(&attr.path).is_none() {
+            errors.push(format!(
+                "{}: missing required attribute {}",
+                r.id(),
+                attr.path
+            ));
         }
     }
 
     // Value formats.
     for attr in schema.attrs.values() {
-        let segs: Vec<String> = attr.path.split('.').map(str::to_string).collect();
-        let values = zodiac_spec::eval::resolve_multi(r, &segs);
-        for v in &values {
+        for v in r.get_all(&attr.path) {
             match (&attr.format, v) {
                 (ValueFormat::Enum { values: domain, .. }, Value::Str(s))
                     if !domain.iter().any(|d| d == s) =>
@@ -1081,31 +1071,36 @@ fn validate_schema(graph: &ResourceGraph, kb: &KnowledgeBase, node: NodeIdx) -> 
 }
 
 /// Number of instances of a (possibly nested, possibly repeated) block path.
-fn count_instances(r: &zodiac_model::Resource, segs: &[String]) -> usize {
-    let values = zodiac_spec::eval::resolve_multi(r, segs);
+fn count_instances(r: &zodiac_model::Resource, path: &str) -> usize {
+    let values = r.get_all(path);
     if !values.is_empty() {
         return values.len();
     }
-    // resolve_multi returns leaf values; a block resolves to itself when it
-    // is a map. Try manual walk for the map case.
-    let Some((head, rest)) = segs.split_first() else {
-        return 0;
-    };
-    let Some(v) = r.attrs.get(head) else { return 0 };
-    count_in_value(v, rest)
+    // `get_all` reads through lists to their leaves, so a path that ends in
+    // a list of empty lists reads as nothing; count its elements instead.
+    let (head, rest) = path
+        .split_once('.')
+        .map_or((path, None), |(h, t)| (h, Some(t)));
+    r.attrs.get(head).map_or(0, |v| count_in_value(v, rest))
 }
 
-fn count_in_value(v: &Value, segs: &[String]) -> usize {
-    let Some((head, rest)) = segs.split_first() else {
+fn count_in_value(v: &Value, path: Option<&str>) -> usize {
+    let Some(path) = path else {
         return match v {
             Value::List(l) => l.len(),
             Value::Null => 0,
             _ => 1,
         };
     };
+    let (head, rest) = path
+        .split_once('.')
+        .map_or((path, None), |(h, t)| (h, Some(t)));
     match v {
         Value::Map(m) => m.get(head).map_or(0, |inner| count_in_value(inner, rest)),
-        Value::List(l) => l.iter().map(|inner| count_in_value(inner, segs)).sum(),
+        Value::List(l) => l
+            .iter()
+            .map(|inner| count_in_value(inner, Some(path)))
+            .sum(),
         _ => 0,
     }
 }

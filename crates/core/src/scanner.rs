@@ -106,13 +106,10 @@ pub fn scan_corpus(programs: &[Program], checks: &[Check], kb: &KnowledgeBase) -
     report
 }
 
-/// A stable 64-bit identity for a check set: FNV-1a over the per-check
-/// canonical fingerprints in order. Used as the second half of the scan
-/// memo key, so a cache survives check-set swaps without invalidation —
-/// verdicts computed under an old set simply stop being addressed.
-pub fn check_set_key(checks: &[Check]) -> u64 {
-    zodiac_spec::check_set_key(checks)
-}
+/// The check-set identity that keys the scan memo's second half, so a
+/// cache survives check-set swaps without invalidation: verdicts computed
+/// under an old set simply stop being addressed.
+pub use zodiac_spec::check_set_key;
 
 const SCAN_CACHE_SHARDS: usize = 16;
 

@@ -272,10 +272,7 @@ fn disk_name_clash(program: &mut Program) -> bool {
             "azurerm_linux_virtual_machine",
             &vm_name,
         ))
-        .and_then(|vm| {
-            let path: AttrPath = "os_disk.name".parse().ok()?;
-            vm.get(&path).cloned()
-        });
+        .and_then(|vm| vm.get("os_disk.name").cloned());
     let Some(os_name) = os_name else { return false };
     let Some(disk) = program.find_mut(&zodiac_model::ResourceId::new(
         "azurerm_managed_disk",
@@ -447,12 +444,7 @@ fn move_vnet_onto(program: &mut Program, vnet: &str, onto: &str) -> bool {
 fn v2_no_priority(program: &mut Program) -> bool {
     let Some(appgw) = program.resources_mut().iter_mut().find(|r| {
         r.rtype == "azurerm_application_gateway"
-            && "sku.name"
-                .parse::<AttrPath>()
-                .ok()
-                .and_then(|path| r.get(&path))
-                .and_then(Value::as_str)
-                == Some("Standard_v2")
+            && r.get("sku.name").and_then(Value::as_str) == Some("Standard_v2")
     }) else {
         return false;
     };

@@ -34,7 +34,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use store::{CheckStore, LoadReport, Origin, StoredCheck};
-use zodiac::{check_set_key, ScanCache};
+use zodiac::ScanCache;
 use zodiac_kb::KnowledgeBase;
 use zodiac_mining::{mine_types_with_stats, IncrementalStats, MinedCheck, MiningConfig};
 use zodiac_model::{Program, Symbol};
@@ -87,17 +87,21 @@ pub struct CheckSet {
     /// The checks with provenance, in admission order.
     pub entries: Vec<StoredCheck>,
     plain: Vec<Check>,
+    /// Each check's fingerprint, taken once at publish.
+    fingerprints: Vec<u64>,
 }
 
 impl CheckSet {
     fn build(store: &CheckStore) -> CheckSet {
         let entries: Vec<StoredCheck> = store.live_in_seq_order().into_iter().cloned().collect();
         let plain: Vec<Check> = entries.iter().map(|c| c.check.clone()).collect();
+        let fingerprints: Vec<u64> = plain.iter().map(Check::fingerprint).collect();
         CheckSet {
             version: store.seq(),
-            key: check_set_key(&plain),
+            key: zodiac_spec::fingerprint_set_key(fingerprints.iter().copied()),
             entries,
             plain,
+            fingerprints,
         }
     }
 
@@ -398,19 +402,16 @@ impl Daemon {
         for v in verdict.iter() {
             *per_check.entry(v.check_index).or_default() += 1;
         }
-        touched.extend(
-            per_check
-                .keys()
-                .map(|idx| snapshot.entries[*idx].fingerprint()),
-        );
+        let fingerprints = &snapshot.fingerprints;
+        touched.extend(per_check.keys().map(|&idx| fingerprints[idx]));
         if self.obs.is_enabled() {
             // One Served lifecycle event per violated check, so `zodiac
             // explain <fp> --trace` over a daemon trace shows where a
             // validated check fires in production.
-            let folded = (fp as u64) ^ ((fp >> 64) as u64);
+            let folded = zodiac_repair::fold_program_fingerprint(fp);
             for (idx, count) in per_check {
                 self.obs.lifecycle(
-                    snapshot.entries[idx].fingerprint(),
+                    fingerprints[idx],
                     Lifecycle::Served {
                         program: folded,
                         violations: count,
@@ -775,13 +776,11 @@ impl Daemon {
         let checks: Vec<Value> = snapshot
             .entries
             .iter()
-            .map(|c| {
+            .zip(&snapshot.fingerprints)
+            .map(|(c, fp)| {
                 Value::Object(
                     [
-                        (
-                            "fp".to_string(),
-                            Value::String(format!("{:016x}", c.fingerprint())),
-                        ),
+                        ("fp".to_string(), Value::String(format!("{fp:016x}"))),
                         ("check".to_string(), Value::String(c.check.to_string())),
                         (
                             "origin".to_string(),
@@ -806,9 +805,10 @@ impl Daemon {
 
     fn explain(&self, fp: u64) -> Response {
         let snapshot = self.snapshot();
-        let Some(c) = snapshot.entries.iter().find(|c| c.fingerprint() == fp) else {
+        let Some(idx) = snapshot.fingerprints.iter().position(|&f| f == fp) else {
             return Response::err(&format!("no live check with fingerprint {fp:016x}"));
         };
+        let c = &snapshot.entries[idx];
         Response::ok("explain")
             .str("fp", &format!("{fp:016x}"))
             .str("check", &c.check.to_string())

@@ -196,8 +196,10 @@ mod tests {
                 "n",
             ))
             .unwrap();
-        let path: AttrPath = "ip_configuration.0.subnet_id".parse().unwrap();
-        assert_eq!(nic.get(&path), Some(&Value::r("azurerm_subnet", "a", "id")));
+        assert_eq!(
+            nic.get("ip_configuration.0.subnet_id"),
+            Some(&Value::r("azurerm_subnet", "a", "id"))
+        );
     }
 
     #[test]

@@ -874,17 +874,13 @@ fn name_attrs(r: &Resource) -> Vec<Symbol> {
 }
 
 fn leaf_value(r: &Resource, attr: Symbol) -> Option<Value> {
-    let segs: Vec<String> = attr.split('.').map(str::to_string).collect();
-    zodiac_spec::eval::resolve_multi(r, &segs)
-        .into_iter()
-        .next()
+    r.get_all(&attr).first().copied().cloned()
 }
 
 fn cidrs_of(r: &Resource, attr: Symbol) -> Vec<Cidr> {
-    let segs: Vec<String> = attr.split('.').map(str::to_string).collect();
-    zodiac_spec::eval::resolve_multi(r, &segs)
-        .iter()
-        .filter_map(|v| v.as_str())
+    r.get_all(&attr)
+        .into_iter()
+        .filter_map(Value::as_str)
         .filter_map(|s| s.parse().ok())
         .collect()
 }

@@ -63,11 +63,52 @@ impl Resource {
         self
     }
 
-    /// Looks up a (possibly nested) attribute by path.
-    pub fn get(&self, path: &AttrPath) -> Option<&Value> {
-        let (head, rest) = path.0.split_first()?;
-        let v = self.attrs.get(head)?;
-        v.get_path(rest)
+    /// Looks up the one attribute at a dotted `path`; numeric segments
+    /// index lists (`security_rule.0.direction`).
+    pub fn get(&self, path: &str) -> Option<&Value> {
+        let mut segs = path.split('.');
+        self.attrs.get(segs.next()?)?.get_path(segs)
+    }
+
+    /// Every value at a dotted `path`: the reader behind check endpoints.
+    /// Non-numeric segments fan out over list elements, numeric ones index
+    /// them, and a list at the end of the path yields its leaves, so
+    /// `address_prefixes` reads every CIDR in the list and
+    /// `security_rule.priority` every rule's priority. An explicit `Null`
+    /// is read; an absent attribute reads as nothing.
+    pub fn get_all(&self, path: &str) -> Vec<&Value> {
+        fn descend<'a>(v: &'a Value, path: Option<&str>, out: &mut Vec<&'a Value>) {
+            let Some(path) = path else {
+                match v {
+                    Value::List(l) => l.iter().for_each(|item| descend(item, None, out)),
+                    leaf => out.push(leaf),
+                }
+                return;
+            };
+            let (head, rest) = split_head(path);
+            match v {
+                Value::Map(m) => {
+                    if let Some(inner) = m.get(head) {
+                        descend(inner, rest, out);
+                    }
+                }
+                Value::List(l) => match head.parse::<usize>() {
+                    Ok(idx) => {
+                        if let Some(inner) = l.get(idx) {
+                            descend(inner, rest, out);
+                        }
+                    }
+                    Err(_) => l.iter().for_each(|item| descend(item, Some(path), out)),
+                },
+                _ => {}
+            }
+        }
+        let (head, rest) = split_head(path);
+        let mut out = Vec::new();
+        if let Some(v) = self.attrs.get(head) {
+            descend(v, rest, &mut out);
+        }
+        out
     }
 
     /// Looks up a single-segment attribute by name.
@@ -143,6 +184,14 @@ impl Resource {
             v.collect_refs(&AttrPath::single(k.clone()), &mut out);
         }
         out
+    }
+}
+
+/// Splits a dotted path into its first segment and the rest, if any.
+fn split_head(path: &str) -> (&str, Option<&str>) {
+    match path.split_once('.') {
+        Some((head, rest)) => (head, Some(rest)),
+        None => (path, None),
     }
 }
 
@@ -292,13 +341,35 @@ mod tests {
         let mut r = Resource::new("azurerm_virtual_machine", "vm");
         let path: AttrPath = "os_disk.name".parse().unwrap();
         assert!(r.set(&path, Value::s("osdisk1")));
-        assert_eq!(r.get(&path), Some(&Value::s("osdisk1")));
+        assert_eq!(r.get("os_disk.name"), Some(&Value::s("osdisk1")));
         assert_eq!(
             r.get_attr("os_disk")
                 .and_then(|v| v.as_map())
                 .map(|m| m.len()),
             Some(1)
         );
+    }
+
+    #[test]
+    fn get_all_fans_out_over_lists_and_get_reads_one_value() {
+        let rule = |priority: i64| {
+            Value::Map(BTreeMap::from([(
+                "priority".to_string(),
+                Value::Int(priority),
+            )]))
+        };
+        let r = Resource::new("azurerm_network_security_group", "sg")
+            .with("security_rule", Value::List(vec![rule(100), rule(200)]))
+            .with("tags", Value::Null);
+        assert_eq!(
+            r.get_all("security_rule.priority"),
+            [&Value::Int(100), &Value::Int(200)]
+        );
+        assert_eq!(r.get_all("security_rule.1.priority"), [&Value::Int(200)]);
+        assert_eq!(r.get_all("tags"), [&Value::Null]);
+        assert!(r.get_all("missing").is_empty());
+        assert_eq!(r.get("security_rule.0.priority"), Some(&Value::Int(100)));
+        assert_eq!(r.get("security_rule.priority"), None);
     }
 
     #[test]

@@ -177,9 +177,10 @@ impl Value {
     /// Navigates a path inside this value.
     ///
     /// Numeric segments index into lists; other segments index into maps.
-    pub fn get_path(&self, path: &[String]) -> Option<&Value> {
+    pub fn get_path<S: AsRef<str>>(&self, path: impl IntoIterator<Item = S>) -> Option<&Value> {
         let mut cur = self;
         for seg in path {
+            let seg = seg.as_ref();
             cur = match cur {
                 Value::Map(m) => m.get(seg)?,
                 Value::List(l) => l.get(seg.parse::<usize>().ok()?)?,

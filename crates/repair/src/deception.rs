@@ -92,7 +92,7 @@ impl Sanctions {
             ref_drops: Vec::new(),
         };
         for check in violated {
-            collect_degree_sanctions(&check.stmt, check, &mut out);
+            collect_degree_sanctions(check, &mut out);
         }
         out
     }
@@ -110,9 +110,9 @@ impl Sanctions {
     }
 }
 
-fn collect_degree_sanctions(expr: &Expr, check: &Check, out: &mut Sanctions) {
-    fn walk_val(v: &Val, check: &Check, out: &mut Sanctions) {
-        match v {
+fn collect_degree_sanctions(check: &Check, out: &mut Sanctions) {
+    for operand in check.stmt.atoms().flat_map(Expr::operands) {
+        match operand {
             // `indegree(v, τ)` constrains how many τ-resources point at v:
             // a violated instance may require deleting a τ source or the
             // reference it holds.
@@ -140,20 +140,8 @@ fn collect_degree_sanctions(expr: &Expr, check: &Check, out: &mut Sanctions) {
                     }
                 }
             }
-            Val::Length(inner) => walk_val(inner, check, out),
             _ => {}
         }
-    }
-    match expr {
-        Expr::Cmp { lhs, rhs, .. } => {
-            walk_val(lhs, check, out);
-            walk_val(rhs, check, out);
-        }
-        Expr::CoConn { first, second } | Expr::CoPath { first, second } => {
-            collect_degree_sanctions(first, check, out);
-            collect_degree_sanctions(second, check, out);
-        }
-        _ => {}
     }
 }
 
@@ -254,15 +242,14 @@ fn diff_resource(
         return;
     };
     for attr in schema.attrs.values() {
-        let segs: Vec<String> = attr.path.split('.').map(str::to_string).collect();
-        let old = zodiac_spec::eval::resolve_multi(before, &segs);
-        let new = zodiac_spec::eval::resolve_multi(after, &segs);
+        let old = before.get_all(&attr.path);
+        let new = after.get_all(&attr.path);
         // Nested drop: the path resolved before and no longer does (already
         // reported when its whole top-level block went away).
-        if segs.len() > 1
+        let nested_head = attr.path.split_once('.').map(|(head, _)| head);
+        if nested_head.is_some_and(|head| !dropped_heads.contains(head))
             && !old.is_empty()
             && new.is_empty()
-            && !dropped_heads.contains(segs[0].as_str())
             && !mentioned(mentions, &before.rtype, &attr.path)
         {
             out.push(Deception {
@@ -302,7 +289,7 @@ fn diff_resource(
     }
 }
 
-fn render_vals(vals: &[Value]) -> String {
+fn render_vals(vals: &[&Value]) -> String {
     let parts: Vec<String> = vals
         .iter()
         .map(|v| match v.as_str() {
@@ -328,18 +315,18 @@ fn cidr_covered(xs: &[Cidr], ys: &[Cidr]) -> bool {
     xs.iter().all(|x| ys.iter().any(|y| y.contains(x)))
 }
 
-fn cidr_narrowed(old: &[Value], new: &[Value]) -> bool {
-    let old: Option<Vec<Cidr>> = old.iter().map(parse_cidr_scope).collect();
-    let new: Option<Vec<Cidr>> = new.iter().map(parse_cidr_scope).collect();
+fn cidr_narrowed(old: &[&Value], new: &[&Value]) -> bool {
+    let old: Option<Vec<Cidr>> = old.iter().map(|v| parse_cidr_scope(v)).collect();
+    let new: Option<Vec<Cidr>> = new.iter().map(|v| parse_cidr_scope(v)).collect();
     match (old, new) {
         (Some(old), Some(new)) => cidr_covered(&new, &old) && !cidr_covered(&old, &new),
         _ => false,
     }
 }
 
-fn cidr_narrowed_if_all_parse(old: &[Value], new: &[Value]) -> bool {
+fn cidr_narrowed_if_all_parse(old: &[&Value], new: &[&Value]) -> bool {
     let all_parse =
-        |vals: &[Value]| !vals.is_empty() && vals.iter().all(|v| parse_cidr_scope(v).is_some());
+        |vals: &[&Value]| !vals.is_empty() && vals.iter().all(|v| parse_cidr_scope(v).is_some());
     all_parse(old) && all_parse(new) && cidr_narrowed(old, new)
 }
 
@@ -371,9 +358,9 @@ fn port_covered(xs: &[(u32, u32)], ys: &[(u32, u32)]) -> bool {
         .all(|&(lo, hi)| ys.iter().any(|&(ylo, yhi)| ylo <= lo && hi <= yhi))
 }
 
-fn port_narrowed(old: &[Value], new: &[Value]) -> bool {
-    let old: Option<Vec<(u32, u32)>> = old.iter().map(parse_port_scope).collect();
-    let new: Option<Vec<(u32, u32)>> = new.iter().map(parse_port_scope).collect();
+fn port_narrowed(old: &[&Value], new: &[&Value]) -> bool {
+    let old: Option<Vec<(u32, u32)>> = old.iter().map(|v| parse_port_scope(v)).collect();
+    let new: Option<Vec<(u32, u32)>> = new.iter().map(|v| parse_port_scope(v)).collect();
     match (old, new) {
         (Some(old), Some(new)) => port_covered(&new, &old) && !port_covered(&old, &new),
         _ => false,
@@ -489,20 +476,20 @@ mod tests {
 
     #[test]
     fn star_counts_as_full_range_for_ports() {
-        assert!(port_narrowed(&[Value::s("*")], &[Value::s("443")]));
-        assert!(!port_narrowed(&[Value::s("443")], &[Value::s("*")]));
-        assert!(!port_narrowed(&[Value::s("0-65535")], &[Value::s("*")]));
+        assert!(port_narrowed(&[&Value::s("*")], &[&Value::s("443")]));
+        assert!(!port_narrowed(&[&Value::s("443")], &[&Value::s("*")]));
+        assert!(!port_narrowed(&[&Value::s("0-65535")], &[&Value::s("*")]));
     }
 
     #[test]
     fn equal_scopes_are_not_narrowed() {
         assert!(!cidr_narrowed(
-            &[Value::s("10.0.0.0/24")],
-            &[Value::s("10.0.0.0/24")]
+            &[&Value::s("10.0.0.0/24")],
+            &[&Value::s("10.0.0.0/24")]
         ));
         assert!(cidr_narrowed(
-            &[Value::s("0.0.0.0/0")],
-            &[Value::s("10.0.0.0/8")]
+            &[&Value::s("0.0.0.0/0")],
+            &[&Value::s("10.0.0.0/8")]
         ));
     }
 }

@@ -199,11 +199,7 @@ pub(crate) fn run<D: DeployOracle + ?Sized>(
 
     let var_ids: BTreeMap<(ResourceId, Symbol), VarId> =
         vars.iter().map(|(k, (v, _))| (k.clone(), *v)).collect();
-    let grounder = Grounder {
-        graph: &graph,
-        kb,
-        vars: &var_ids,
-    };
+    let grounder = Grounder::new(ctx, &var_ids);
 
     // ---- stage A: relaxed problem (violated checks only) -----------------
     // Its model seeds the full solve with a feasible penalty bound whenever
@@ -221,7 +217,7 @@ pub(crate) fn run<D: DeployOracle + ?Sized>(
         );
     }
     for check in &violated {
-        for grounded in grounder.ground_all(check, ctx) {
+        for grounded in grounder.ground_all(check) {
             stage_a.require(grounded);
         }
     }
@@ -239,7 +235,7 @@ pub(crate) fn run<D: DeployOracle + ?Sized>(
 
     // ---- full problem: every check hard ----------------------------------
     for check in checks {
-        for grounded in grounder.ground_all(check, ctx) {
+        for grounded in grounder.ground_all(check) {
             problem.require(grounded);
         }
     }
@@ -350,23 +346,10 @@ fn on_resource(v: &Value, wrap_list: bool) -> Value {
 /// `attr` — the repair-side nullability gate: removal is a repair lever
 /// only for attributes some violated check actually depends on.
 fn check_mentions(check: &Check, attr: &str) -> bool {
-    fn val_mentions(v: &Val, attr: &str) -> bool {
-        match v {
-            Val::Endpoint { attr: a, .. } => a == attr,
-            Val::Length(inner) => val_mentions(inner, attr),
-            _ => false,
-        }
-    }
-    fn expr_mentions(e: &Expr, attr: &str) -> bool {
-        match e {
-            Expr::Cmp { lhs, rhs, .. } => val_mentions(lhs, attr) || val_mentions(rhs, attr),
-            Expr::CoConn { first, second } | Expr::CoPath { first, second } => {
-                expr_mentions(first, attr) || expr_mentions(second, attr)
-            }
-            _ => false,
-        }
-    }
-    expr_mentions(&check.cond, attr) || expr_mentions(&check.stmt, attr)
+    check
+        .atoms()
+        .flat_map(Expr::operands)
+        .any(|v| matches!(v, Val::Endpoint { attr: a, .. } if a == attr))
 }
 
 /// Repair-specific cross values: candidate values each endpoint of a
@@ -411,8 +394,7 @@ fn collect_cross(
                     return (None, Vec::new());
                 };
                 let resource = graph.resource(node);
-                let segs: Vec<String> = attr.split('.').map(str::to_string).collect();
-                let mut vals = zodiac_spec::eval::resolve_multi(resource, &segs);
+                let mut vals: Vec<Value> = resource.get_all(attr).into_iter().cloned().collect();
                 if let Some(candidates) = extra.get(&(resource.id(), *attr)) {
                     for v in candidates {
                         if !vals.contains(v) {

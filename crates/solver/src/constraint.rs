@@ -1,7 +1,7 @@
 //! Constraint representation and three-valued evaluation.
 
 use crate::VarId;
-use zodiac_model::{Cidr, Value};
+use zodiac_model::Value;
 
 /// A term: a variable or a constant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,7 +104,7 @@ impl Constraint {
             Constraint::Cmp { op, lhs, rhs } => {
                 let l = lhs.value(assignment)?;
                 let r = rhs.value(assignment)?;
-                Some(cmp(*op, l, r))
+                Some(op.holds(l, r))
             }
             Constraint::Not(inner) => inner.eval(assignment).map(|b| !b),
             Constraint::And(items) => {
@@ -162,15 +162,7 @@ impl Constraint {
 }
 
 fn linear_range(op: Op, min: i64, max: i64, bound: i64) -> Option<bool> {
-    let over = |v: i64| match op {
-        Op::Le => v <= bound,
-        Op::Ge => v >= bound,
-        Op::Lt => v < bound,
-        Op::Gt => v > bound,
-        Op::Eq => v == bound,
-        Op::Ne => v != bound,
-        Op::Overlap | Op::Contain => false,
-    };
+    let over = |v: i64| op.holds(&Value::Int(v), &Value::Int(bound));
     match op {
         Op::Le | Op::Lt => {
             if over(max) {
@@ -190,55 +182,16 @@ fn linear_range(op: Op, min: i64, max: i64, bound: i64) -> Option<bool> {
                 None
             }
         }
-        Op::Eq => {
+        Op::Eq | Op::Ne => {
             if min == max {
-                Some(min == bound)
+                Some(over(min))
             } else if bound < min || bound > max {
-                Some(false)
-            } else {
-                None
-            }
-        }
-        Op::Ne => {
-            if min == max {
-                Some(min != bound)
-            } else if bound < min || bound > max {
-                Some(true)
+                Some(op == Op::Ne)
             } else {
                 None
             }
         }
         Op::Overlap | Op::Contain => Some(false),
-    }
-}
-
-fn cmp(op: Op, l: &Value, r: &Value) -> bool {
-    match op {
-        Op::Eq => l == r,
-        Op::Ne => l != r,
-        Op::Le | Op::Ge | Op::Lt | Op::Gt => {
-            let (Some(a), Some(b)) = (l.as_int(), r.as_int()) else {
-                return false;
-            };
-            match op {
-                Op::Le => a <= b,
-                Op::Ge => a >= b,
-                Op::Lt => a < b,
-                Op::Gt => a > b,
-                _ => unreachable!(),
-            }
-        }
-        Op::Overlap | Op::Contain => {
-            let parse = |v: &Value| v.as_str().and_then(|s| s.parse::<Cidr>().ok());
-            let (Some(a), Some(b)) = (parse(l), parse(r)) else {
-                return false;
-            };
-            if op == Op::Overlap {
-                a.overlaps(&b)
-            } else {
-                a.contains(&b)
-            }
-        }
     }
 }
 
@@ -318,6 +271,19 @@ mod tests {
             rhs: Term::s("10.0.0.0/16"),
         };
         assert_eq!(contain.eval(&[]), Some(false));
+    }
+
+    #[test]
+    fn integers_equal_their_decimal_strings_as_in_the_evaluator() {
+        // The evaluator holds `r.x == 2` on `x = "2"`; so does the solver.
+        assert_eq!(
+            Constraint::eq(Term::i(2), Term::s("2")).eval(&[]),
+            Some(true)
+        );
+        assert_eq!(
+            Constraint::ne(Term::i(2), Term::s("2")).eval(&[]),
+            Some(false)
+        );
     }
 
     #[test]

@@ -147,25 +147,68 @@ pub enum ShapeCategory {
     InterAgg,
 }
 
+impl Expr {
+    /// The atoms of this expression in printing order: every `conn`,
+    /// `path` and comparison, descending through `coconn`/`copath`.
+    pub fn atoms(&self) -> impl Iterator<Item = &Expr> {
+        Atoms { stack: vec![self] }
+    }
+
+    /// The operands of a comparison, each read through any `length(...)`
+    /// to the term it measures; none for any other expression.
+    pub fn operands(&self) -> impl Iterator<Item = &Val> {
+        let pair = match self {
+            Expr::Cmp { lhs, rhs, .. } => Some([lhs, rhs]),
+            _ => None,
+        };
+        pair.into_iter().flatten().map(|mut v| {
+            while let Val::Length(inner) = v {
+                v = inner;
+            }
+            v
+        })
+    }
+}
+
+/// Iterator over an expression's atoms; see [`Expr::atoms`].
+struct Atoms<'a> {
+    stack: Vec<&'a Expr>,
+}
+
+impl<'a> Iterator for Atoms<'a> {
+    type Item = &'a Expr;
+
+    fn next(&mut self) -> Option<&'a Expr> {
+        loop {
+            match self.stack.pop()? {
+                Expr::CoConn { first, second } | Expr::CoPath { first, second } => {
+                    self.stack.push(second);
+                    self.stack.push(first);
+                }
+                atom => return Some(atom),
+            }
+        }
+    }
+}
+
 impl Check {
+    /// The atoms of the condition, then of the statement.
+    pub fn atoms(&self) -> impl Iterator<Item = &Expr> {
+        self.cond.atoms().chain(self.stmt.atoms())
+    }
+
     /// The structural category of this check.
     pub fn shape_category(&self) -> ShapeCategory {
-        fn val_aggregates(v: &Val) -> bool {
+        let aggregates = |v: &Val| {
             matches!(
                 v,
                 Val::InDegree { .. } | Val::OutDegree { .. } | Val::Length(_)
             )
-        }
-        fn expr_aggregates(e: &Expr) -> bool {
-            match e {
-                Expr::Cmp { lhs, rhs, .. } => val_aggregates(lhs) || val_aggregates(rhs),
-                Expr::CoConn { first, second } | Expr::CoPath { first, second } => {
-                    expr_aggregates(first) || expr_aggregates(second)
-                }
-                _ => false,
-            }
-        }
-        if expr_aggregates(&self.cond) || expr_aggregates(&self.stmt) {
+        };
+        if self
+            .atoms()
+            .any(|a| matches!(a, Expr::Cmp { lhs, rhs, .. } if aggregates(lhs) || aggregates(rhs)))
+        {
             ShapeCategory::InterAgg
         } else if self.bindings.len() > 1 {
             ShapeCategory::Inter
@@ -204,15 +247,18 @@ impl Check {
     /// across runs and processes (pure function of the canonical string),
     /// printed as 16 lowercase hex digits at text boundaries.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut hash = OFFSET;
-        for byte in self.canonical().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
-        hash
+        fnv1a(FNV_OFFSET, self.canonical().bytes())
     }
+}
+
+/// The 64-bit FNV-1a offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// Folds `bytes` into the 64-bit FNV-1a `hash`.
+fn fnv1a(hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(hash, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3))
 }
 
 /// A stable 64-bit identity for a check *set*: FNV-1a over the per-check
@@ -221,16 +267,15 @@ impl Check {
 /// without invalidation) and the repair fingerprint (a repair is only
 /// meaningful relative to the set it was asked to satisfy).
 pub fn check_set_key(checks: &[Check]) -> u64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-    let mut hash = OFFSET;
-    for check in checks {
-        for byte in check.fingerprint().to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    }
-    hash
+    fingerprint_set_key(checks.iter().map(Check::fingerprint))
+}
+
+/// [`check_set_key`] from the checks' fingerprints, for callers that keep
+/// them and need not render every check again.
+pub fn fingerprint_set_key(fingerprints: impl IntoIterator<Item = u64>) -> u64 {
+    fingerprints
+        .into_iter()
+        .fold(FNV_OFFSET, |h, fp| fnv1a(h, fp.to_le_bytes()))
 }
 
 /// Escapes a string literal for the check language: backslash-escapes the
@@ -358,5 +403,34 @@ impl fmt::Display for Check {
             write!(f, "{}:{}", b.var, short_name(&b.rtype))?;
         }
         write!(f, " in {} => {}", self.cond, self.stmt)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parse_check;
+
+    #[test]
+    fn atoms_descend_co_forms_in_printing_order() {
+        let check = parse_check(
+            "let r1:SUBNET, r2:SUBNET, r3:VPC in \
+             coconn(r1.virtual_network_name -> r3.name, r2.virtual_network_name -> r3.name) \
+             => length(r1.address_prefixes) >= indegree(r3, SUBNET)",
+        )
+        .unwrap();
+        let atoms: Vec<String> = check.atoms().map(ToString::to_string).collect();
+        assert_eq!(
+            atoms,
+            [
+                "conn(r1.virtual_network_name -> r3.name)",
+                "conn(r2.virtual_network_name -> r3.name)",
+                "length(r1.address_prefixes) >= indegree(r3, SUBNET)",
+            ]
+        );
+        let operands: Vec<&Val> = check.atoms().flat_map(Expr::operands).collect();
+        assert!(matches!(operands[0], Val::Endpoint { attr, .. } if *attr == "address_prefixes"));
+        assert!(matches!(operands[1], Val::InDegree { .. }));
+        assert_eq!(check.shape_category(), ShapeCategory::InterAgg);
     }
 }

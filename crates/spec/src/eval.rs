@@ -16,21 +16,29 @@
 //! Expressions are pure, so each answer equals the one read off
 //! [`instances`] (the testkit's `eval-short-circuit` property checks this).
 //!
-//! Attribute endpoints resolve with *multi* semantics: a dotted path descends
-//! through nested blocks, fanning out over list elements, so
+//! Attribute endpoints read through
+//! [`Resource::get_all`](zodiac_model::Resource::get_all): a dotted path
+//! descends through nested blocks, fanning out over list elements, so
 //! `r.address_prefixes` yields every CIDR in the list and
-//! `r.security_rule.priority` yields the priority of every rule. Comparisons
-//! are existential over the resolved sets; outer negation flips the result,
-//! giving `!overlap(...)` the expected universal reading. When a
-//! [`KnowledgeBase`] is supplied, omitted attributes fall back to their
-//! provider defaults (Class-2 facts) before defaulting to `Null`.
+//! `r.security_rule.priority` yields the priority of every rule.
+//! Comparisons ([`CmpOp::holds`]) are existential over the resolved sets;
+//! outer negation flips the result, giving `!overlap(...)` the expected
+//! universal reading. When a [`KnowledgeBase`] is supplied, omitted
+//! attributes fall back to their provider defaults (Class-2 facts) before
+//! defaulting to `Null`.
+//!
+//! This module is the one meaning of the check language: the validation
+//! grounder asks an [`Env`] for every value and edge it does not make a
+//! solver variable, so a grounded check agrees with evaluation by
+//! construction.
 
-use crate::ast::{Binding, Check, CmpOp, Expr, Val};
+use crate::ast::{Check, CmpOp, Expr, Val};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use zodiac_graph::{NodeIdx, ResourceGraph};
 use zodiac_kb::KnowledgeBase;
-use zodiac_model::{Cidr, Resource, Symbol, Value};
+use zodiac_model::{Symbol, Value};
 
 /// Evaluation context: the graph plus an optional KB for default values.
 #[derive(Clone, Copy)]
@@ -64,78 +72,170 @@ impl Instance {
     }
 }
 
-/// A complete binding under evaluation: the check's variables,
-/// index-aligned with the nodes bound to them.
+/// A binding under evaluation: `(variable, node)` pairs in declaration
+/// order.
 #[derive(Clone, Copy)]
-struct Env<'b> {
-    vars: &'b [Binding],
-    nodes: &'b [NodeIdx],
+pub struct Env<'b> {
+    pairs: &'b [(Symbol, NodeIdx)],
 }
 
-impl Env<'_> {
+impl<'b> Env<'b> {
+    /// A binding read from `(variable, node)` pairs.
+    pub fn new(pairs: &'b [(Symbol, NodeIdx)]) -> Env<'b> {
+        Env { pairs }
+    }
+
     /// The node bound to `var`. A repeated variable name resolves to its
     /// last binding, as in [`Instance::binding`].
-    fn get(&self, var: &Symbol) -> Option<NodeIdx> {
-        let i = self.vars.iter().rposition(|b| b.var == *var)?;
-        self.nodes.get(i).copied()
+    pub fn node(self, var: &Symbol) -> Option<NodeIdx> {
+        self.pairs
+            .iter()
+            .rev()
+            .find(|(v, _)| v == var)
+            .map(|&(_, n)| n)
     }
 
     fn to_map(self) -> BTreeMap<Symbol, NodeIdx> {
-        self.vars
-            .iter()
-            .zip(self.nodes)
-            .map(|(b, &n)| (b.var, n))
-            .collect()
+        self.pairs.iter().copied().collect()
+    }
+
+    /// Whether `expr` holds under this binding.
+    pub fn holds(self, expr: &Expr, ctx: EvalContext<'_>) -> bool {
+        match expr {
+            Expr::Conn {
+                src,
+                in_endpoint,
+                dst,
+                out_attr,
+            } => {
+                let (Some(s), Some(d)) = (self.node(src), self.node(dst)) else {
+                    return false;
+                };
+                ctx.graph
+                    .conn(s, Some(in_endpoint.as_str()), d, Some(out_attr.as_str()))
+            }
+            Expr::Path { src, dst } => {
+                let (Some(s), Some(d)) = (self.node(src), self.node(dst)) else {
+                    return false;
+                };
+                ctx.graph.path(s, d)
+            }
+            Expr::CoConn { first, second } | Expr::CoPath { first, second } => {
+                self.holds(first, ctx) && self.holds(second, ctx)
+            }
+            Expr::Cmp {
+                op,
+                lhs,
+                rhs,
+                negated,
+            } => compare(*op, &self.values(lhs, ctx), &self.values(rhs, ctx)) != *negated,
+        }
+    }
+
+    /// The set of values a term denotes under this binding: an endpoint's
+    /// values (else its KB default, else `Null`), a degree, or a length.
+    pub fn values<'a>(self, val: &'a Val, ctx: EvalContext<'a>) -> Vec<Cow<'a, Value>> {
+        let null = || vec![Cow::Owned(Value::Null)];
+        let count = |n: usize| vec![Cow::Owned(Value::Int(n as i64))];
+        match val {
+            Val::Lit(v) => vec![Cow::Borrowed(v)],
+            Val::Endpoint { var, attr } => {
+                let Some(node) = self.node(var) else {
+                    return null();
+                };
+                let resource = ctx.graph.resource(node);
+                let found: Vec<Cow<'a, Value>> = resource
+                    .get_all(attr)
+                    .into_iter()
+                    .map(Cow::Borrowed)
+                    .collect();
+                if !found.is_empty() {
+                    return found;
+                }
+                match ctx
+                    .kb
+                    .and_then(|kb| kb.default_of(&resource.rtype, attr.as_str()))
+                {
+                    Some(default) => vec![Cow::Owned(default)],
+                    None => null(),
+                }
+            }
+            Val::InDegree { var, tau } => match self.node(var) {
+                Some(node) => count(ctx.graph.distinct_in_neighbors(
+                    node,
+                    tau.type_name(),
+                    tau.negated(),
+                )),
+                None => null(),
+            },
+            Val::OutDegree { var, tau } => match self.node(var) {
+                Some(node) => count(ctx.graph.distinct_out_neighbors(
+                    node,
+                    tau.type_name(),
+                    tau.negated(),
+                )),
+                None => null(),
+            },
+            Val::Length(inner) => {
+                let Val::Endpoint { var, attr } = inner.as_ref() else {
+                    return count(self.values(inner, ctx).len());
+                };
+                let Some(node) = self.node(var) else {
+                    return null();
+                };
+                count(match ctx.graph.resource(node).get(attr) {
+                    Some(Value::List(l)) => l.len(),
+                    Some(Value::Null) | None => 0,
+                    Some(_) => 1,
+                })
+            }
+        }
     }
 }
 
 /// The binding visitor behind every query: calls `visit` on each binding of
 /// the check's variables to *distinct* nodes of the declared types, in
 /// declaration-major order, until `visit` breaks; returns `Break` if it did.
-fn visit_bindings<F>(check: &Check, graph: &ResourceGraph, mut visit: F) -> ControlFlow<()>
+pub fn visit_bindings<F>(check: &Check, graph: &ResourceGraph, mut visit: F) -> ControlFlow<()>
 where
     F: FnMut(Env<'_>) -> ControlFlow<()>,
 {
     fn descend<F>(
-        vars: &[Binding],
-        candidates: &[Vec<NodeIdx>],
-        assignment: &mut Vec<NodeIdx>,
+        levels: &[(Symbol, Vec<NodeIdx>)],
+        assignment: &mut Vec<(Symbol, NodeIdx)>,
         visit: &mut F,
     ) -> ControlFlow<()>
     where
         F: FnMut(Env<'_>) -> ControlFlow<()>,
     {
-        let Some(level) = candidates.get(assignment.len()) else {
-            return visit(Env {
-                vars,
-                nodes: assignment,
-            });
+        let Some((var, nodes)) = levels.get(assignment.len()) else {
+            return visit(Env::new(assignment));
         };
-        for &node in level {
-            if assignment.contains(&node) {
+        for &node in nodes {
+            if assignment.iter().any(|&(_, n)| n == node) {
                 continue; // Distinct variables bind distinct resources.
             }
-            assignment.push(node);
-            let flow = descend(vars, candidates, assignment, visit);
+            assignment.push((*var, node));
+            let flow = descend(levels, assignment, visit);
             assignment.pop();
             flow?;
         }
         ControlFlow::Continue(())
     }
 
-    let candidates: Vec<Vec<NodeIdx>> = check
+    let levels: Vec<(Symbol, Vec<NodeIdx>)> = check
         .bindings
         .iter()
-        .map(|b| graph.nodes_of_type(&b.rtype).collect())
+        .map(|b| (b.var, graph.nodes_of_type(&b.rtype).collect()))
         .collect();
-    let mut assignment: Vec<NodeIdx> = Vec::with_capacity(check.bindings.len());
-    descend(&check.bindings, &candidates, &mut assignment, &mut visit)
+    let mut assignment = Vec::with_capacity(levels.len());
+    descend(&levels, &mut assignment, &mut visit)
 }
 
 /// True if `env` violates the check; the statement is evaluated only where
 /// the condition holds.
 fn violates(check: &Check, env: Env<'_>, ctx: EvalContext<'_>) -> bool {
-    eval_expr(&check.cond, env, ctx) && !eval_expr(&check.stmt, env, ctx)
+    env.holds(&check.cond, ctx) && !env.holds(&check.stmt, ctx)
 }
 
 /// Evaluates a check over all bindings.
@@ -144,8 +244,8 @@ pub fn instances(check: &Check, ctx: EvalContext<'_>) -> Vec<Instance> {
     let _ = visit_bindings(check, ctx.graph, |env| {
         out.push(Instance {
             binding: env.to_map(),
-            cond: eval_expr(&check.cond, env, ctx),
-            stmt: eval_expr(&check.stmt, env, ctx),
+            cond: env.holds(&check.cond, ctx),
+            stmt: env.holds(&check.stmt, ctx),
         });
         ControlFlow::Continue(())
     });
@@ -187,7 +287,7 @@ pub fn violations(check: &Check, ctx: EvalContext<'_>) -> Vec<Instance> {
 pub fn first_witness(check: &Check, ctx: EvalContext<'_>) -> Option<Instance> {
     let mut found = None;
     let _ = visit_bindings(check, ctx.graph, |env| {
-        if !(eval_expr(&check.cond, env, ctx) && eval_expr(&check.stmt, env, ctx)) {
+        if !(env.holds(&check.cond, ctx) && env.holds(&check.stmt, ctx)) {
             return ControlFlow::Continue(());
         }
         found = Some(Instance {
@@ -200,199 +300,10 @@ pub fn first_witness(check: &Check, ctx: EvalContext<'_>) -> Option<Instance> {
     found
 }
 
-fn eval_expr(expr: &Expr, env: Env<'_>, ctx: EvalContext<'_>) -> bool {
-    match expr {
-        Expr::Conn {
-            src,
-            in_endpoint,
-            dst,
-            out_attr,
-        } => {
-            let (Some(s), Some(d)) = (env.get(src), env.get(dst)) else {
-                return false;
-            };
-            ctx.graph
-                .conn(s, Some(in_endpoint.as_str()), d, Some(out_attr.as_str()))
-        }
-        Expr::Path { src, dst } => {
-            let (Some(s), Some(d)) = (env.get(src), env.get(dst)) else {
-                return false;
-            };
-            ctx.graph.path(s, d)
-        }
-        Expr::CoConn { first, second } | Expr::CoPath { first, second } => {
-            eval_expr(first, env, ctx) && eval_expr(second, env, ctx)
-        }
-        Expr::Cmp {
-            op,
-            lhs,
-            rhs,
-            negated,
-        } => {
-            let l = resolve(lhs, env, ctx);
-            let r = resolve(rhs, env, ctx);
-            let result = compare(*op, &l, &r);
-            result != *negated
-        }
-    }
-}
-
-/// Resolves a value term to the set of concrete values it denotes.
-fn resolve(val: &Val, env: Env<'_>, ctx: EvalContext<'_>) -> Vec<Value> {
-    match val {
-        Val::Lit(v) => vec![v.clone()],
-        Val::Endpoint { var, attr } => {
-            let Some(node) = env.get(var) else {
-                return vec![Value::Null];
-            };
-            let resource = ctx.graph.resource(node);
-            let segs: Vec<String> = attr.split('.').map(str::to_string).collect();
-            let mut found = resolve_multi(resource, &segs);
-            if found.is_empty() {
-                if let Some(kb) = ctx.kb {
-                    if let Some(default) = kb.default_of(&resource.rtype, attr.as_str()) {
-                        found.push(default);
-                    }
-                }
-            }
-            if found.is_empty() {
-                found.push(Value::Null);
-            }
-            found
-        }
-        Val::InDegree { var, tau } => {
-            let Some(node) = env.get(var) else {
-                return vec![Value::Null];
-            };
-            vec![Value::Int(
-                ctx.graph
-                    .distinct_in_neighbors(node, tau.type_name(), tau.negated())
-                    as i64,
-            )]
-        }
-        Val::OutDegree { var, tau } => {
-            let Some(node) = env.get(var) else {
-                return vec![Value::Null];
-            };
-            vec![Value::Int(
-                ctx.graph
-                    .distinct_out_neighbors(node, tau.type_name(), tau.negated())
-                    as i64,
-            )]
-        }
-        Val::Length(inner) => {
-            let Val::Endpoint { var, attr } = inner.as_ref() else {
-                let vals = resolve(inner, env, ctx);
-                return vec![Value::Int(vals.len() as i64)];
-            };
-            let Some(node) = env.get(var) else {
-                return vec![Value::Null];
-            };
-            let resource = ctx.graph.resource(node);
-            let path: Result<zodiac_model::AttrPath, _> = attr.parse();
-            let n = match path.ok().and_then(|p| resource.get(&p).cloned()) {
-                Some(Value::List(l)) => l.len(),
-                Some(Value::Null) | None => 0,
-                Some(_) => 1,
-            };
-            vec![Value::Int(n as i64)]
-        }
-    }
-}
-
-/// Multi-resolution: descends `segs` through `resource`'s attributes,
-/// fanning out over list elements at non-index segments.
-pub fn resolve_multi(resource: &Resource, segs: &[String]) -> Vec<Value> {
-    fn descend(v: &Value, segs: &[String], out: &mut Vec<Value>) {
-        let Some((head, rest)) = segs.split_first() else {
-            match v {
-                // A terminal list fans out into its leaves.
-                Value::List(l) => {
-                    for item in l {
-                        descend(item, &[], out);
-                    }
-                }
-                other => out.push(other.clone()),
-            }
-            return;
-        };
-        match v {
-            Value::Map(m) => {
-                if let Some(inner) = m.get(head) {
-                    descend(inner, rest, out);
-                }
-            }
-            Value::List(l) => {
-                if let Ok(idx) = head.parse::<usize>() {
-                    if let Some(inner) = l.get(idx) {
-                        descend(inner, rest, out);
-                    }
-                } else {
-                    for item in l {
-                        descend(item, segs, out);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    let Some((head, rest)) = segs.split_first() else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    if let Some(v) = resource.attrs.get(head) {
-        descend(v, rest, &mut out);
-    }
-    out
-}
-
-fn compare(op: CmpOp, lhs: &[Value], rhs: &[Value]) -> bool {
-    lhs.iter()
-        .any(|l| rhs.iter().any(|r| compare_one(op, l, r)))
-}
-
-fn compare_one(op: CmpOp, l: &Value, r: &Value) -> bool {
-    match op {
-        CmpOp::Eq => values_eq(l, r),
-        CmpOp::Ne => !values_eq(l, r),
-        CmpOp::Le | CmpOp::Ge | CmpOp::Lt | CmpOp::Gt => {
-            let (Some(a), Some(b)) = (l.as_int(), r.as_int()) else {
-                return false;
-            };
-            match op {
-                CmpOp::Le => a <= b,
-                CmpOp::Ge => a >= b,
-                CmpOp::Lt => a < b,
-                CmpOp::Gt => a > b,
-                _ => unreachable!(),
-            }
-        }
-        CmpOp::Overlap | CmpOp::Contain => {
-            let (Some(a), Some(b)) = (as_cidr(l), as_cidr(r)) else {
-                return false;
-            };
-            if op == CmpOp::Overlap {
-                a.overlaps(&b)
-            } else {
-                a.contains(&b)
-            }
-        }
-    }
-}
-
-fn values_eq(l: &Value, r: &Value) -> bool {
-    match (l, r) {
-        // Integer/string cross-comparison tolerates "2" vs 2.
-        (Value::Int(a), Value::Str(b)) | (Value::Str(b), Value::Int(a)) => {
-            b.parse::<i64>().map(|x| x == *a).unwrap_or(false)
-        }
-        _ => l == r,
-    }
-}
-
-fn as_cidr(v: &Value) -> Option<Cidr> {
-    v.as_str().and_then(|s| s.parse().ok())
+/// Existential comparison: some value on the left relates to some value on
+/// the right.
+fn compare(op: CmpOp, lhs: &[Cow<'_, Value>], rhs: &[Cow<'_, Value>]) -> bool {
+    lhs.iter().any(|l| rhs.iter().any(|r| op.holds(l, r)))
 }
 
 #[cfg(test)]
@@ -642,6 +553,24 @@ mod tests {
         );
         let g = graph(Program::new().with(gw));
         assert!(!holds(
+            &check,
+            EvalContext {
+                graph: &g,
+                kb: None
+            }
+        ));
+    }
+
+    #[test]
+    fn integers_equal_their_decimal_strings() {
+        let check = parse_check("let r:VM in r.size == 'a' => r.priority == 2").unwrap();
+        let p = Program::new().with(
+            Resource::new("azurerm_linux_virtual_machine", "vm")
+                .with("size", "a")
+                .with("priority", "2"),
+        );
+        let g = graph(p);
+        assert!(holds(
             &check,
             EvalContext {
                 graph: &g,

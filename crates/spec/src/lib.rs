@@ -27,6 +27,8 @@ pub mod parser;
 #[cfg(feature = "test-hooks")]
 pub mod test_hooks;
 
-pub use ast::{check_set_key, Binding, Check, CmpOp, Expr, ShapeCategory, TypeSpec, Val};
-pub use eval::{first_witness, holds, instances, violations, EvalContext, Instance};
+pub use ast::{
+    check_set_key, fingerprint_set_key, Binding, Check, CmpOp, Expr, ShapeCategory, TypeSpec, Val,
+};
+pub use eval::{first_witness, holds, instances, violations, Env, EvalContext, Instance};
 pub use parser::{parse_check, ParseError};

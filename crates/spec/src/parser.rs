@@ -427,7 +427,7 @@ pub fn parse_check(src: &str) -> Result<Check, ParseError> {
         return Err(ParseError(format!("trailing tokens: {:?}", p.peek())));
     }
     // All variables used must be bound.
-    for var in used_vars(&cond).into_iter().chain(used_vars(&stmt)) {
+    for var in cond.atoms().chain(stmt.atoms()).flat_map(used_vars) {
         if !bindings.iter().any(|b| b.var == var) {
             return Err(ParseError(format!("unbound variable: {var}")));
         }
@@ -439,32 +439,20 @@ pub fn parse_check(src: &str) -> Result<Check, ParseError> {
     })
 }
 
-fn used_vars(e: &Expr) -> Vec<Symbol> {
-    fn from_val(v: &Val, out: &mut Vec<Symbol>) {
-        match v {
-            Val::Endpoint { var, .. } | Val::InDegree { var, .. } | Val::OutDegree { var, .. } => {
-                out.push(*var)
-            }
-            Val::Length(inner) => from_val(inner, out),
-            Val::Lit(_) => {}
-        }
+/// The variables an atom reads, in printing order.
+fn used_vars(atom: &Expr) -> Vec<Symbol> {
+    match atom {
+        Expr::Conn { src, dst, .. } | Expr::Path { src, dst } => vec![*src, *dst],
+        _ => atom
+            .operands()
+            .filter_map(|v| match v {
+                Val::Endpoint { var, .. }
+                | Val::InDegree { var, .. }
+                | Val::OutDegree { var, .. } => Some(*var),
+                _ => None,
+            })
+            .collect(),
     }
-    let mut out = Vec::new();
-    match e {
-        Expr::Conn { src, dst, .. } | Expr::Path { src, dst } => {
-            out.push(*src);
-            out.push(*dst);
-        }
-        Expr::CoConn { first, second } | Expr::CoPath { first, second } => {
-            out.extend(used_vars(first));
-            out.extend(used_vars(second));
-        }
-        Expr::Cmp { lhs, rhs, .. } => {
-            from_val(lhs, &mut out);
-            from_val(rhs, &mut out);
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -43,7 +43,9 @@
 //!     agree with its full instance list: `holds` is true exactly when no
 //!     instance is a violation, `first_witness` is the first witnessing
 //!     instance, and `violations` is the instance list filtered to
-//!     violations, in the same order.
+//!     violations, in the same order. Each instance's condition and
+//!     statement, grounded with no solver variables and evaluated under
+//!     the empty assignment, equal the evaluator's.
 //!
 //! The wave scheduler's equivalence to one-candidate-at-a-time validation
 //! is not a fuzz property: `zodiac-validation` checks it against a

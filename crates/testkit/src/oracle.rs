@@ -11,7 +11,7 @@ use crate::{EpisodeStats, FuzzConfig, FuzzFailure, FuzzReport};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use zodiac_cloud::{CloudSim, DeployOutcome, Phase, TRANSIENT_PREFIX};
 use zodiac_graph::ResourceGraph;
 use zodiac_kb::KnowledgeBase;
@@ -23,6 +23,7 @@ use zodiac_spec::{
     first_witness, holds, instances, parse_check, violations, Check, EvalContext, Instance,
 };
 use zodiac_validation::counterexample::counterexample_pass;
+use zodiac_validation::ground::Grounder;
 use zodiac_validation::{Scheduler, SchedulerConfig, ValidatedCheck};
 
 /// Violating programs examined per check in the episode's §5.6 pass.
@@ -430,8 +431,9 @@ pub(crate) fn run_episode(
 
     // --- P10: evaluator short-circuit --------------------------------------
     // The queries that stop or skip early must answer as the full instance
-    // list does, over generated checks and mined candidates crossed with
-    // generated graphs. Drawn last, so no other property's inputs move.
+    // list does, and grounding must agree with evaluation, over generated
+    // checks and mined candidates crossed with generated graphs. Drawn
+    // last, so no other property's inputs move.
     let graphs: Vec<(u64, ResourceGraph)> = (0..EVAL_GRAPHS)
         .map(|_| {
             let (graph_seed, mut graph_rng) = gen::child_rng(&mut rng);
@@ -473,8 +475,9 @@ shrunk program ({} of {} resources):
 /// Generated graphs each episode crosses with its checks for P10.
 const EVAL_GRAPHS: usize = 8;
 
-/// How the short-circuiting queries disagree with the full instance list of
-/// `check` on `graph`, if they do.
+/// How the short-circuiting queries, or the check grounded with no solver
+/// variables, disagree with the full instance list of `check` on `graph`,
+/// if they do.
 fn short_circuit_mismatch(
     check: &Check,
     graph: &ResourceGraph,
@@ -490,6 +493,13 @@ fn short_circuit_mismatch(
     }
     if first_witness(check, ctx).as_ref() != all.iter().find(|i| i.is_witness()) {
         return Some("`first_witness` is not the first witnessing instance");
+    }
+    let grounder = Grounder::new(ctx, &BTreeMap::new());
+    let grounded = |expr, instance: &Instance| grounder.ground(expr, &instance.binding).eval(&[]);
+    if all.iter().any(|i| {
+        grounded(&check.cond, i) != Some(i.cond) || grounded(&check.stmt, i) != Some(i.stmt)
+    }) {
+        return Some("grounding with no solver variables disagrees with evaluation");
     }
     let filtered: Vec<Instance> = all.into_iter().filter(Instance::is_violation).collect();
     if violations(check, ctx) != filtered {

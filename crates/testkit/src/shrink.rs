@@ -92,28 +92,11 @@ where
 
 /// Collects every string literal in a check, in printing order.
 fn collect_str_lits(check: &Check, out: &mut Vec<String>) {
-    fn walk_val(v: &Val, out: &mut Vec<String>) {
-        match v {
-            Val::Lit(Value::Str(s)) => out.push(s.clone()),
-            Val::Length(inner) => walk_val(inner, out),
-            _ => {}
+    for operand in check.atoms().flat_map(Expr::operands) {
+        if let Val::Lit(Value::Str(s)) = operand {
+            out.push(s.clone());
         }
     }
-    fn walk_expr(e: &Expr, out: &mut Vec<String>) {
-        match e {
-            Expr::Cmp { lhs, rhs, .. } => {
-                walk_val(lhs, out);
-                walk_val(rhs, out);
-            }
-            Expr::CoConn { first, second } | Expr::CoPath { first, second } => {
-                walk_expr(first, out);
-                walk_expr(second, out);
-            }
-            _ => {}
-        }
-    }
-    walk_expr(&check.cond, out);
-    walk_expr(&check.stmt, out);
 }
 
 /// Replaces the `n`-th string literal (printing order) with `new`.

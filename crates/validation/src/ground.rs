@@ -14,16 +14,25 @@
 //! (KB-derived candidate domains per mutable attribute), a map from
 //! `(resource, attribute)` to solver variables, and a [`Grounder`] that
 //! folds every check instance touching a symbolic resource into a
-//! [`Constraint`]. Topology is fixed before grounding, so topological atoms
-//! (`conn`, `path`, degrees, lengths) ground to constants; only attribute
-//! endpoints become variables.
+//! [`Constraint`].
+//!
+//! Grounding adds one thing to evaluation: a solver variable for each
+//! symbolic endpoint. Everything else — `conn`/`path` atoms, the values of
+//! non-symbolic endpoints (with their KB defaults), degrees and lengths —
+//! is asked of [`zodiac_spec::Env`], and comparisons keep
+//! [`zodiac_model::CmpOp::holds`]' meaning in the solver. So a check
+//! grounded with no variables evaluates, under the empty assignment, to
+//! exactly the evaluator's verdict; the testkit's `eval-short-circuit`
+//! property checks this on every instance it crosses.
 
 use std::collections::{BTreeMap, BTreeSet};
-use zodiac_graph::ResourceGraph;
+use std::ops::ControlFlow;
+use zodiac_graph::NodeIdx;
 use zodiac_kb::{AttrKind, KnowledgeBase, ValueFormat};
 use zodiac_model::{AttrPath, Cidr, Program, Resource, ResourceId, Symbol, Value};
 use zodiac_solver::{Constraint, Term, VarId};
-use zodiac_spec::{instances, Check, EvalContext, Expr, Val};
+use zodiac_spec::eval::visit_bindings;
+use zodiac_spec::{Check, Env, EvalContext, Expr, Val};
 
 /// A symbolic attribute: its location, original value, and candidate domain
 /// (original first, so weight-1 prefer-original softs make branch-and-bound
@@ -50,35 +59,15 @@ where
 {
     let mut out: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     for check in checks {
-        let mut record = |var: &str, attr: &str| {
-            if let Some(rtype) = check.type_of(var) {
-                out.entry(rtype.to_string())
-                    .or_default()
-                    .insert(attr.to_string());
-            }
-        };
-        fn walk_val(v: &Val, record: &mut dyn FnMut(&str, &str)) {
-            match v {
-                Val::Endpoint { var, attr } => record(var, attr),
-                Val::Length(inner) => walk_val(inner, record),
-                _ => {}
+        for operand in check.atoms().flat_map(Expr::operands) {
+            if let Val::Endpoint { var, attr } = operand {
+                if let Some(rtype) = check.type_of(var) {
+                    out.entry(rtype.to_string())
+                        .or_default()
+                        .insert(attr.to_string());
+                }
             }
         }
-        fn walk_expr(e: &Expr, record: &mut dyn FnMut(&str, &str)) {
-            match e {
-                Expr::Cmp { lhs, rhs, .. } => {
-                    walk_val(lhs, record);
-                    walk_val(rhs, record);
-                }
-                Expr::CoConn { first, second } | Expr::CoPath { first, second } => {
-                    walk_expr(first, record);
-                    walk_expr(second, record);
-                }
-                _ => {}
-            }
-        }
-        walk_expr(&check.cond, &mut record);
-        walk_expr(&check.stmt, &mut record);
     }
     out
 }
@@ -109,15 +98,11 @@ pub fn symbolic_attrs(
         if !relevant_here.is_some_and(|set| set.contains(&attr.path)) {
             continue;
         }
-        let segs: Vec<String> = attr.path.split('.').map(str::to_string).collect();
-        let current = zodiac_spec::eval::resolve_multi(resource, &segs);
-        let (mut original, wrap_list) = match current.as_slice() {
+        let (mut original, wrap_list) = match resource.get_all(&attr.path)[..] {
             [v] => (
                 v.clone(),
-                matches!(
-                    resource.get(&AttrPath(vec![segs[0].clone()])),
-                    Some(Value::List(_))
-                ) && segs.len() == 1,
+                matches!(resource.get(&attr.path), Some(Value::List(_)))
+                    && !attr.path.contains('.'),
             ),
             [] => (Value::Null, false),
             _ => continue, // Multi-valued: left immutable.
@@ -206,10 +191,8 @@ pub fn symbolic_attrs(
             if matches!(original, Value::Null) {
                 // Need a concrete value to *set*: borrow one from the corpus.
                 if let Some(v) = corpus.iter().find_map(|p| {
-                    p.of_type(&resource.rtype).find_map(|r| {
-                        let vs = zodiac_spec::eval::resolve_multi(r, &segs);
-                        vs.into_iter().next()
-                    })
+                    p.of_type(&resource.rtype)
+                        .find_map(|r| r.get_all(&attr.path).first().copied().cloned())
                 }) {
                     if !domain.contains(&v) {
                         domain.push(v);
@@ -327,47 +310,67 @@ pub fn remove_path(resource: &mut Resource, path: &AttrPath) {
     }
 }
 
-/// Grounds checks over a fixed resource graph into solver constraints.
-/// `vars` maps each symbolic `(resource, attribute)` to its solver
-/// variable; every other endpoint grounds to constants.
+/// Grounds checks over a fixed resource graph into solver constraints:
+/// each symbolic `(resource, attribute)` endpoint becomes its solver
+/// variable, and every other term and atom is the evaluator's.
 pub struct Grounder<'a> {
-    /// The (topology-final) resource graph.
-    pub graph: &'a ResourceGraph,
-    /// Knowledge base, for provider defaults of absent endpoints.
-    pub kb: &'a KnowledgeBase,
-    /// Solver variables of the symbolic attributes.
-    pub vars: &'a BTreeMap<(ResourceId, Symbol), VarId>,
+    ctx: EvalContext<'a>,
+    /// Solver variable of each symbolic (node, attribute).
+    vars: BTreeMap<(NodeIdx, Symbol), VarId>,
+    /// Nodes with at least one symbolic attribute.
+    symbolic: BTreeSet<NodeIdx>,
 }
 
-impl Grounder<'_> {
+impl<'a> Grounder<'a> {
+    /// A grounder over `ctx`'s (topology-final) graph, with `vars` the
+    /// solver variables of the symbolic attributes.
+    pub fn new(ctx: EvalContext<'a>, vars: &BTreeMap<(ResourceId, Symbol), VarId>) -> Self {
+        let vars: BTreeMap<(NodeIdx, Symbol), VarId> = vars
+            .iter()
+            .filter_map(|((rid, attr), &var)| Some(((ctx.graph.node(rid)?, *attr), var)))
+            .collect();
+        let symbolic = vars.keys().map(|&(node, _)| node).collect();
+        Grounder {
+            ctx,
+            vars,
+            symbolic,
+        }
+    }
+
     /// Grounds `check` over every binding that touches a symbolic resource
     /// (other instances cannot be affected by any assignment).
-    pub fn ground_all(&self, check: &Check, ctx: EvalContext<'_>) -> Vec<Constraint> {
+    pub fn ground_all(&self, check: &Check) -> Vec<Constraint> {
         let mut out = Vec::new();
-        for instance in instances(check, ctx) {
-            let touches = instance.binding.values().any(|&n| {
-                let id = self.graph.resource(n).id();
-                self.vars.keys().any(|(rid, _)| rid == &id)
-            });
-            if !touches {
-                continue;
+        let _ = visit_bindings(check, self.ctx.graph, |env| {
+            let touches = check
+                .bindings
+                .iter()
+                .filter_map(|b| env.node(&b.var))
+                .any(|n| self.symbolic.contains(&n));
+            if touches {
+                out.push(Constraint::implies(
+                    self.ground_in(&check.cond, env),
+                    self.ground_in(&check.stmt, env),
+                ));
             }
-            let cond = self.ground(&check.cond, &instance.binding);
-            let stmt = self.ground(&check.stmt, &instance.binding);
-            out.push(Constraint::implies(cond, stmt));
-        }
+            ControlFlow::Continue(())
+        });
         out
     }
 
     /// Grounds one expression under a binding from check variables to graph
     /// nodes.
-    pub fn ground(&self, expr: &Expr, binding: &BTreeMap<Symbol, usize>) -> Constraint {
+    pub fn ground(&self, expr: &Expr, binding: &BTreeMap<Symbol, NodeIdx>) -> Constraint {
+        let pairs: Vec<(Symbol, NodeIdx)> = binding.iter().map(|(&v, &n)| (v, n)).collect();
+        self.ground_in(expr, Env::new(&pairs))
+    }
+
+    fn ground_in(&self, expr: &Expr, env: Env<'_>) -> Constraint {
         match expr {
-            Expr::Conn { .. } | Expr::Path { .. } => constant(self.eval_fixed(expr, binding)),
             Expr::CoConn { first, second } | Expr::CoPath { first, second } => {
                 Constraint::And(vec![
-                    self.ground(first, binding),
-                    self.ground(second, binding),
+                    self.ground_in(first, env),
+                    self.ground_in(second, env),
                 ])
             }
             Expr::Cmp {
@@ -376,8 +379,8 @@ impl Grounder<'_> {
                 rhs,
                 negated,
             } => {
-                let l = self.terms(lhs, binding);
-                let r = self.terms(rhs, binding);
+                let l = self.terms(lhs, env);
+                let r = self.terms(rhs, env);
                 let op = *op;
                 let mut alternatives = Vec::new();
                 for lt in &l {
@@ -400,104 +403,67 @@ impl Grounder<'_> {
                     existential
                 }
             }
+            // Topology is fixed before grounding: an edge atom is a constant.
+            atom => {
+                if env.holds(atom, self.ctx) {
+                    Constraint::True
+                } else {
+                    Constraint::False
+                }
+            }
         }
     }
 
-    /// Topology is fixed before grounding, so topological atoms ground to
-    /// constants.
-    fn eval_fixed(&self, expr: &Expr, binding: &BTreeMap<Symbol, usize>) -> bool {
-        match expr {
-            Expr::Conn {
-                src,
-                in_endpoint,
-                dst,
-                out_attr,
-            } => {
-                let (Some(&s), Some(&d)) = (binding.get(src), binding.get(dst)) else {
-                    return false;
-                };
-                self.graph
-                    .conn(s, Some(in_endpoint.as_str()), d, Some(out_attr.as_str()))
-            }
-            Expr::Path { src, dst } => {
-                let (Some(&s), Some(&d)) = (binding.get(src), binding.get(dst)) else {
-                    return false;
-                };
-                self.graph.path(s, d)
-            }
-            _ => false,
-        }
-    }
-
-    /// Resolves a value term into solver terms (variables or constants).
-    fn terms(&self, val: &Val, binding: &BTreeMap<Symbol, usize>) -> Vec<Term> {
-        match val {
-            Val::Lit(v) => vec![Term::Const(v.clone())],
-            Val::Endpoint { var, attr } => {
-                let Some(&node) = binding.get(var) else {
-                    return vec![Term::Const(Value::Null)];
-                };
-                let id = self.graph.resource(node).id();
-                if let Some(v) = self.vars.get(&(id.clone(), *attr)) {
-                    return vec![Term::Var(*v)];
-                }
-                let resource = self.graph.resource(node);
-                let segs: Vec<String> = attr.split('.').map(str::to_string).collect();
-                let mut found = zodiac_spec::eval::resolve_multi(resource, &segs);
-                if found.is_empty() {
-                    if let Some(default) = self.kb.default_of(&resource.rtype, attr) {
-                        found.push(default);
-                    }
-                }
-                if found.is_empty() {
-                    found.push(Value::Null);
-                }
-                found.into_iter().map(Term::Const).collect()
-            }
-            Val::InDegree { var, tau } => {
-                let Some(&node) = binding.get(var) else {
-                    return vec![Term::Const(Value::Null)];
-                };
-                vec![Term::Const(Value::Int(self.graph.distinct_in_neighbors(
-                    node,
-                    tau.type_name(),
-                    tau.negated(),
-                ) as i64))]
-            }
-            Val::OutDegree { var, tau } => {
-                let Some(&node) = binding.get(var) else {
-                    return vec![Term::Const(Value::Null)];
-                };
-                vec![Term::Const(Value::Int(self.graph.distinct_out_neighbors(
-                    node,
-                    tau.type_name(),
-                    tau.negated(),
-                ) as i64))]
-            }
-            Val::Length(inner) => {
-                let Val::Endpoint { var, attr } = inner.as_ref() else {
-                    return vec![Term::Const(Value::Null)];
-                };
-                let Some(&node) = binding.get(var) else {
-                    return vec![Term::Const(Value::Null)];
-                };
-                let resource = self.graph.resource(node);
-                let path: Result<AttrPath, _> = attr.parse();
-                let n = match path.ok().and_then(|p| resource.get(&p).cloned()) {
-                    Some(Value::List(l)) => l.len(),
-                    Some(Value::Null) | None => 0,
-                    Some(_) => 1,
-                };
-                vec![Term::Const(Value::Int(n as i64))]
+    /// A symbolic endpoint's solver variable, or the evaluator's values.
+    fn terms(&self, val: &Val, env: Env<'_>) -> Vec<Term> {
+        if let Val::Endpoint { var, attr } = val {
+            if let Some(&v) = env.node(var).and_then(|n| self.vars.get(&(n, *attr))) {
+                return vec![Term::Var(v)];
             }
         }
+        env.values(val, self.ctx)
+            .into_iter()
+            .map(|v| Term::Const(v.into_owned()))
+            .collect()
     }
 }
 
-fn constant(b: bool) -> Constraint {
-    if b {
-        Constraint::True
-    } else {
-        Constraint::False
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zodiac_graph::ResourceGraph;
+    use zodiac_spec::{instances, parse_check};
+
+    #[test]
+    fn a_check_grounded_without_variables_is_the_evaluators_verdict() {
+        let check =
+            parse_check("let r:VM in r.priority == 'Spot' => length(outdegree(r, NIC)) == 1")
+                .unwrap();
+        let program = Program::new()
+            .with(Resource::new("azurerm_network_interface", "nic").with("name", "nic1"))
+            .with(
+                Resource::new("azurerm_linux_virtual_machine", "vm")
+                    .with("priority", "Spot")
+                    .with(
+                        "network_interface_ids",
+                        Value::List(vec![Value::r("azurerm_network_interface", "nic", "id")]),
+                    ),
+            );
+        let graph = ResourceGraph::build(program);
+        let kb = zodiac_kb::azure_kb();
+        let ctx = EvalContext {
+            graph: &graph,
+            kb: Some(&kb),
+        };
+        let grounder = Grounder::new(ctx, &BTreeMap::new());
+        let all = instances(&check, ctx);
+        assert_eq!(all.len(), 1);
+        for instance in &all {
+            assert!(instance.cond && instance.stmt, "{instance:?}");
+            let cond = grounder.ground(&check.cond, &instance.binding);
+            let stmt = grounder.ground(&check.stmt, &instance.binding);
+            assert_eq!(cond.eval(&[]), Some(instance.cond));
+            assert_eq!(stmt.eval(&[]), Some(instance.stmt));
+        }
     }
 }

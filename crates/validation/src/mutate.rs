@@ -217,11 +217,7 @@ fn negative_test_variant(
     }
     let var_ids: BTreeMap<(ResourceId, Symbol), VarId> =
         vars.iter().map(|(k, (v, _))| (k.clone(), *v)).collect();
-    let grounder = Grounder {
-        graph: &graph,
-        kb,
-        vars: &var_ids,
-    };
+    let grounder = Grounder::new(ctx, &var_ids);
     let cond = grounder.ground(&target.cond, &witness_nodes);
     let stmt = grounder.ground(&target.stmt, &witness_nodes);
     problem.require(cond);
@@ -230,12 +226,12 @@ fn negative_test_variant(
     // ---- ground R_v (hard) and R_c (soft) --------------------------------
     if cfg.consider_other_checks {
         for check in hard {
-            for grounded in grounder.ground_all(check, ctx) {
+            for grounded in grounder.ground_all(check) {
                 problem.require(grounded);
             }
         }
         for (check, weight) in soft {
-            for grounded in grounder.ground_all(check, ctx) {
+            for grounded in grounder.ground_all(check) {
                 problem.prefer(grounded, cfg.soft_check_weight.saturating_add(*weight));
             }
         }
@@ -614,7 +610,7 @@ fn add_referenced_clone(
         clone_id.name,
         target_attr,
     ));
-    match anchor_res.get(&ep_path).cloned() {
+    match anchor_res.get(&endpoint.in_endpoint).cloned() {
         Some(Value::List(mut items)) => {
             items.push(reference);
             anchor_res.set(&ep_path, Value::List(items))
@@ -732,8 +728,7 @@ fn cross_values(
         let Some(resource) = program.find(rid) else {
             return Vec::new();
         };
-        let segs: Vec<String> = attr.split('.').map(str::to_string).collect();
-        zodiac_spec::eval::resolve_multi(resource, &segs)
+        resource.get_all(attr).into_iter().cloned().collect()
     };
     let l_vals = resolve(lv, la);
     let r_vals = resolve(rv, ra);
@@ -749,17 +744,11 @@ fn cross_values(
 }
 
 fn stmt_mentions(check: &Check, attr: &str) -> bool {
-    fn val_mentions(v: &Val, attr: &str) -> bool {
-        match v {
-            Val::Endpoint { attr: a, .. } => a == attr,
-            Val::Length(inner) => val_mentions(inner, attr),
-            _ => false,
-        }
-    }
-    match &check.stmt {
-        Expr::Cmp { lhs, rhs, .. } => val_mentions(lhs, attr) || val_mentions(rhs, attr),
-        _ => false,
-    }
+    check
+        .stmt
+        .atoms()
+        .flat_map(Expr::operands)
+        .any(|v| matches!(v, Val::Endpoint { attr: a, .. } if a == attr))
 }
 
 #[cfg(test)]

@@ -5,6 +5,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --locked
 cargo test -q --locked
+# The benchmark is its own workspace, so the two steps above never compile
+# it: check that it still builds against the crates it calls, on its
+# committed lock file untouched.
+cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 cargo fmt --check
 cargo clippy --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
